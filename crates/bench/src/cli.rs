@@ -46,12 +46,39 @@ fn summarize(doc: &Json) {
     }
 }
 
-fn parse_baseline_args() -> (SweepConfig, bool) {
+const BASELINE_USAGE: &str = "\
+bench_baseline: regenerate the executor and treecode benchmark baselines
+
+USAGE:
+    bench_baseline [n_bodies] [--smoke] [--ranks R1,R2,...] [--help]
+
+OPTIONS:
+    n_bodies        Plummer-sphere size for the treecode step (default 20000)
+    --smoke         Seconds-scale CI sweep; writes BENCH_cluster_smoke.json
+                    and BENCH_treecode_smoke.json
+    --ranks LIST    Comma-separated rank counts for both suites (e.g. 128)
+    -h, --help      Print this help and exit
+
+Documents land in $MB_BENCH_DIR (default: the current directory). With
+MB_PROF=1 a profiled rerun also writes PROF_cluster.prom and
+prof_events.jsonl.";
+
+/// What `bench_baseline`'s argv asks for.
+#[derive(Debug)]
+enum BaselineArgs {
+    Run { cfg: SweepConfig, smoke: bool },
+    Help,
+}
+
+/// Parse `bench_baseline`'s argv (without the program name); `Err`
+/// names the offending argument.
+fn parse_baseline_args(args: impl IntoIterator<Item = String>) -> Result<BaselineArgs, String> {
     let mut cfg = SweepConfig::default();
     let mut smoke = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
+            "-h" | "--help" => return Ok(BaselineArgs::Help),
             "--smoke" => {
                 smoke = true;
                 cfg = SweepConfig {
@@ -61,26 +88,24 @@ fn parse_baseline_args() -> (SweepConfig, bool) {
             }
             "--ranks" => {
                 let list = args.next().unwrap_or_default();
-                let ranks: Vec<usize> = list
+                let ranks: Option<Vec<usize>> = list
                     .split(',')
-                    .filter_map(|r| r.trim().parse().ok())
-                    .filter(|&r| r > 0)
+                    .map(|r| r.trim().parse().ok().filter(|&r: &usize| r > 0))
                     .collect();
-                assert!(!ranks.is_empty(), "--ranks needs a comma-separated list");
-                cfg = cfg.with_ranks(ranks);
-            }
-            n => {
-                if let Ok(n_bodies) = n.parse::<usize>() {
-                    cfg.n_bodies = n_bodies;
-                } else {
-                    panic!(
-                        "unknown argument {n:?}; usage: [n_bodies] [--smoke] [--ranks R1,R2,...]"
-                    );
+                match ranks {
+                    Some(ranks) => cfg = cfg.with_ranks(ranks),
+                    None => {
+                        return Err(format!("--ranks needs a list of rank counts, got '{list}'"))
+                    }
                 }
             }
+            n => match n.parse::<usize>() {
+                Ok(n_bodies) => cfg.n_bodies = n_bodies,
+                Err(_) => return Err(format!("unknown argument '{n}'")),
+            },
         }
     }
-    (cfg, smoke)
+    Ok(BaselineArgs::Run { cfg, smoke })
 }
 
 /// `bench_baseline`: regenerate the BENCH documents (argv documented on
@@ -88,7 +113,17 @@ fn parse_baseline_args() -> (SweepConfig, bool) {
 /// a profiled rerun additionally writes `PROF_cluster.prom` and
 /// `prof_events.jsonl`.
 pub fn baseline_main() {
-    let (cfg, smoke) = parse_baseline_args();
+    let (cfg, smoke) = match parse_baseline_args(std::env::args().skip(1)) {
+        Ok(BaselineArgs::Run { cfg, smoke }) => (cfg, smoke),
+        Ok(BaselineArgs::Help) => {
+            println!("{BASELINE_USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("bench_baseline: {e}\n\n{BASELINE_USAGE}");
+            std::process::exit(2);
+        }
+    };
     let dir = std::env::var_os("MB_BENCH_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."));
@@ -195,5 +230,45 @@ pub fn gate_main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<BaselineArgs, String> {
+        parse_baseline_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn baseline_help_and_bad_arguments_are_not_panics() {
+        assert!(matches!(parse(&["--help"]), Ok(BaselineArgs::Help)));
+        assert!(matches!(parse(&["--smoke", "-h"]), Ok(BaselineArgs::Help)));
+        let err = parse(&["--bogus"]).unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+        assert!(parse(&["--ranks"]).is_err());
+        assert!(parse(&["--ranks", "8,x"]).is_err());
+        assert!(parse(&["--ranks", "0"]).is_err());
+    }
+
+    #[test]
+    fn baseline_arguments_shape_the_sweep() {
+        let Ok(BaselineArgs::Run { cfg, smoke }) = parse(&[]) else {
+            panic!("no arguments must run the full sweep");
+        };
+        assert!(!smoke);
+        assert_eq!(cfg.n_bodies, SweepConfig::default().n_bodies);
+        let Ok(BaselineArgs::Run { cfg, smoke }) = parse(&["--smoke", "--ranks", "128"]) else {
+            panic!("smoke sweep rejected");
+        };
+        assert!(smoke);
+        assert_eq!(cfg.rank_counts, vec![128]);
+        assert_eq!(cfg.treecode_rank_counts, vec![128]);
+        assert_eq!(cfg.rounds, SweepConfig::smoke().rounds);
+        let Ok(BaselineArgs::Run { cfg, .. }) = parse(&["5000"]) else {
+            panic!("body count rejected");
+        };
+        assert_eq!(cfg.n_bodies, 5000);
     }
 }

@@ -36,6 +36,10 @@
 //! post-hoc derivation keeps the hot send path free of per-link
 //! bookkeeping and keeps [`crate::comm::CommStats`] (and with it every
 //! committed outcome fingerprint) unchanged.
+//!
+//! [`LinkTable`] interns every link cross-job contention accounting can
+//! charge to a dense [`LinkId`], keyed on `(Link, ECMP way)`, so the
+//! scheduler's per-event path never builds or compares a link name.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -104,6 +108,14 @@ pub enum Link {
         /// Destination router (node id).
         to: usize,
     },
+}
+
+impl Link {
+    /// Fat-tree inter-switch links (`Up` / `Down`): the links ECMP
+    /// spreads over and oversubscription slows.
+    pub fn is_fabric(&self) -> bool {
+        matches!(self, Link::Up { .. } | Link::Down { .. })
+    }
 }
 
 impl fmt::Display for Link {
@@ -342,18 +354,25 @@ impl Topology {
         }
     }
 
-    /// Named links of the `src → dst` route for *cross-job contention
-    /// accounting*, with deterministic ECMP-style spreading over `ways`
-    /// parallel uplinks. The way is an FNV-1a hash of
-    /// `(src, dst, salt)` — callers salt with the job id, so two jobs
-    /// between the same switch pair usually land on different physical
-    /// uplinks while every rank of one flow stays on one way (no
-    /// reordering). Host links and torus cables never spread (one NIC,
-    /// one cable). With `ways <= 1` the names are exactly
-    /// [`Topology::route`]'s `Display` strings — a pure function of
+    /// Links of the `src → dst` route for *cross-job contention
+    /// accounting*, as ids of `links`, with deterministic ECMP-style
+    /// spreading over the parallel uplink ways the table was built for.
+    /// The way is an FNV-1a hash of `(src, dst, salt)` — callers salt
+    /// with the job id, so two jobs between the same switch pair usually
+    /// land on different physical uplinks while every rank of one flow
+    /// stays on one way (no reordering). Host links and torus cables
+    /// never spread (one NIC, one cable). A pure function of
     /// `(topology, src, dst, salt, ways)`, same on every host and under
     /// every executor width.
-    pub fn contention_links(&self, src: usize, dst: usize, salt: u64, ways: usize) -> Vec<String> {
+    pub fn contention_links<'t>(
+        &self,
+        links: &'t LinkTable,
+        src: usize,
+        dst: usize,
+        salt: u64,
+    ) -> impl Iterator<Item = LinkId> + 't {
+        debug_assert!(*self == links.topo, "link table built for another topology");
+        let ways = links.ways;
         let way = if ways > 1 {
             let mut h = mb_telemetry::Fnv::new();
             h.write_u64(src as u64);
@@ -363,13 +382,10 @@ impl Topology {
         } else {
             0
         };
-        self.route(src, dst)
-            .into_iter()
-            .map(|l| match l {
-                Link::Up { .. } | Link::Down { .. } if ways > 1 => format!("{l}.w{way}"),
-                l => l.to_string(),
-            })
-            .collect()
+        self.route(src, dst).into_iter().map(move |l| {
+            let w = if l.is_fabric() { way } else { 0 };
+            links.id(l, w)
+        })
     }
 
     /// Fold a finished run's per-peer traffic counters over the routes:
@@ -411,6 +427,225 @@ pub fn record_link_occupancy(
     for (link, load) in occ {
         reg.count("network/link_bytes", link, load.bytes);
         reg.count("network/link_msgs", link, load.msgs);
+    }
+}
+
+/// Interned id of one contention link in a [`LinkTable`].
+pub type LinkId = u32;
+
+/// Slot no route between the table's nodes can use.
+const NO_LINK: LinkId = LinkId::MAX;
+
+/// The per-run table of every link cross-job contention accounting can
+/// charge, interned to dense [`LinkId`]s.
+///
+/// A link's identity is the structural pair `(Link, ECMP way)`, so
+/// [`LinkTable::id`] is index arithmetic and never builds a string. The
+/// table is built once per run, and ids are assigned in ascending order
+/// of the link *names* (`host-up:3`, `up:l1.s2.w3`, …): walking ids in
+/// ascending order visits links exactly as a name-keyed map would, which
+/// keeps every per-link sum and every per-link telemetry series in the
+/// order name-keyed accounting produced. Beside its name, each id
+/// carries the link's effective serialization gap and, for a level-1
+/// uplink, the edge group it leaves.
+#[derive(Debug, Clone)]
+pub struct LinkTable {
+    topo: Topology,
+    ways: usize,
+    /// Host links per direction (`nodes` on star and fat tree; torus
+    /// routes cross none).
+    hosts: usize,
+    /// Per fat-tree tier `1..levels`: the first slot of its uplinks and
+    /// its switch count (the downlinks follow the uplinks).
+    tiers: Vec<(usize, usize)>,
+    /// Structural slot → id.
+    ids: Vec<LinkId>,
+    /// By id: the structural link and its way.
+    links: Vec<(Link, usize)>,
+    /// By id (hence ascending).
+    names: Vec<String>,
+    /// By id: serialization seconds per byte.
+    eff_gap: Vec<f64>,
+}
+
+impl LinkTable {
+    /// Every link a route between nodes `0..nodes` of `topo` can cross,
+    /// with fabric links spread over `ways` ECMP ways. Fat-tree fabric
+    /// links serialize at `oversubscription ×` the edge gap
+    /// `gap_s_per_byte` (the effective-bandwidth convention
+    /// [`Topology::path`] charges inside one job); host links and torus
+    /// cables at the edge gap.
+    pub fn new(topo: &Topology, nodes: usize, ways: usize, gap_s_per_byte: f64) -> Self {
+        if let Some(cap) = topo.capacity() {
+            assert!(nodes <= cap, "{nodes} nodes exceed {}", topo.label());
+        }
+        let ways = ways.max(1);
+        let mut hosts = 0;
+        let mut tiers = Vec::new();
+        // Every structural slot with its link, in slot order.
+        let mut slots: Vec<Option<(Link, usize)>> = Vec::new();
+        match *topo {
+            Topology::Star | Topology::FatTree { .. } => {
+                hosts = nodes;
+                slots.extend((0..nodes).map(|n| Some((Link::HostUp(n), 0))));
+                slots.extend((0..nodes).map(|n| Some((Link::HostDown(n), 0))));
+                if let Topology::FatTree { radix, levels, .. } = *topo {
+                    for level in 1..levels {
+                        let switches = nodes.div_ceil(radix.pow(level as u32));
+                        tiers.push((slots.len(), switches));
+                        let ups = (0..switches).map(|sw| Link::Up { level, sw });
+                        let downs = (0..switches).map(|sw| Link::Down { level, sw });
+                        for link in ups.chain(downs) {
+                            slots.extend((0..ways).map(|w| Some((link, w))));
+                        }
+                    }
+                }
+            }
+            Topology::Torus { dims } => {
+                // Intermediate routers of a route may lie beyond `nodes`:
+                // cover the whole grid, six neighbours (±x, ±y, ±z) each.
+                for from in 0..dims[0] * dims[1] * dims[2] {
+                    let c = Topology::coords(dims, from);
+                    for d in 0..3 {
+                        for step in [1, dims[d] - 1] {
+                            let mut to = c;
+                            to[d] = (c[d] + step) % dims[d];
+                            slots.push((dims[d] > 1).then(|| {
+                                let to = Topology::node_at(dims, to);
+                                (Link::Hop { from, to }, 0)
+                            }));
+                        }
+                    }
+                }
+            }
+        }
+        let name = |&(link, way): &(Link, usize)| {
+            if link.is_fabric() && ways > 1 {
+                format!("{link}.w{way}")
+            } else {
+                link.to_string()
+            }
+        };
+        let slot_names: Vec<Option<String>> = slots.iter().map(|s| s.as_ref().map(name)).collect();
+        let mut named: Vec<(&str, (Link, usize))> = slot_names
+            .iter()
+            .zip(&slots)
+            .filter_map(|(n, s)| Some((n.as_deref()?, (*s)?)))
+            .collect();
+        named.sort_by(|a, b| a.0.cmp(b.0));
+        // A ring of two reaches the same neighbour both ways round.
+        named.dedup_by(|a, b| a.0 == b.0);
+        let find = |n: &str| named.binary_search_by(|e| e.0.cmp(n)).expect("named") as LinkId;
+        let ids = slot_names
+            .iter()
+            .map(|n| n.as_deref().map_or(NO_LINK, find))
+            .collect();
+        let eff_gap = named
+            .iter()
+            .map(|(_, (link, _))| match *topo {
+                Topology::FatTree {
+                    uplink_oversubscription: o,
+                    ..
+                } if link.is_fabric() => gap_s_per_byte * o,
+                _ => gap_s_per_byte,
+            })
+            .collect();
+        Self {
+            topo: *topo,
+            ways,
+            hosts,
+            tiers,
+            ids,
+            links: named.iter().map(|e| e.1).collect(),
+            names: named.iter().map(|e| e.0.to_string()).collect(),
+            eff_gap,
+        }
+    }
+
+    /// Number of distinct links.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True when no route can cross any link (a zero-node table).
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The topology the table was built for.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// The id of `link` on ECMP way `way` (0 for non-fabric links).
+    pub fn id(&self, link: Link, way: usize) -> LinkId {
+        let slot = match link {
+            Link::HostUp(n) | Link::HostDown(n) => {
+                debug_assert!(n < self.hosts, "host link {link} beyond the table");
+                let down = usize::from(matches!(link, Link::HostDown(_)));
+                down * self.hosts + n
+            }
+            Link::Up { level, sw } | Link::Down { level, sw } => {
+                let (base, switches) = self.tiers[level - 1];
+                debug_assert!(
+                    sw < switches && way < self.ways,
+                    "{link} way {way} beyond the table"
+                );
+                let down = usize::from(matches!(link, Link::Down { .. }));
+                base + (down * switches + sw) * self.ways + way
+            }
+            Link::Hop { from, to } => {
+                let Topology::Torus { dims } = self.topo else {
+                    unreachable!("torus hop on a {} table", self.topo.label())
+                };
+                let (a, b) = (Topology::coords(dims, from), Topology::coords(dims, to));
+                let d = (0..3).find(|&d| a[d] != b[d]).expect("a hop moves");
+                let back = usize::from(b[d] != (a[d] + 1) % dims[d]);
+                from * 6 + d * 2 + back
+            }
+        };
+        let id = self.ids[slot];
+        assert_ne!(id, NO_LINK, "{link} way {way} is not in the table");
+        id
+    }
+
+    /// The id of the link named `name`, if the table has one.
+    pub fn lookup(&self, name: &str) -> Option<LinkId> {
+        self.names
+            .binary_search_by(|n| n.as_str().cmp(name))
+            .ok()
+            .map(|i| i as LinkId)
+    }
+
+    /// Stable name of a link: its [`Link`] `Display` string, with a
+    /// `.w{way}` suffix on fabric links when flows spread over more than
+    /// one way.
+    pub fn name(&self, id: LinkId) -> &str {
+        &self.names[id as usize]
+    }
+
+    /// The structural link behind an id, with its ECMP way.
+    pub fn link(&self, id: LinkId) -> (Link, usize) {
+        self.links[id as usize]
+    }
+
+    /// Effective serialization seconds per byte of a link.
+    pub fn eff_gap(&self, id: LinkId) -> f64 {
+        self.eff_gap[id as usize]
+    }
+
+    /// Fat-tree inter-switch link (any tier, any way)?
+    pub fn is_fabric(&self, id: LinkId) -> bool {
+        self.links[id as usize].0.is_fabric()
+    }
+
+    /// The edge switch a level-1 uplink leaves (any way); `None` for
+    /// every other link.
+    pub fn edge_group(&self, id: LinkId) -> Option<usize> {
+        match self.links[id as usize].0 {
+            Link::Up { level: 1, sw } => Some(sw),
+            _ => None,
+        }
     }
 }
 
@@ -643,14 +878,20 @@ mod tests {
     fn contention_links_spread_deterministically_and_stay_in_range() {
         let ft = Topology::fat_tree(16, 2, 4.0);
         let ways = ft.ecmp_ways();
+        let names = |links: &LinkTable, salt: u64| -> Vec<String> {
+            ft.contention_links(links, 0, 17, salt)
+                .map(|l| links.name(l).to_string())
+                .collect()
+        };
         // Without spreading the names are exactly the route names.
-        let plain = ft.contention_links(0, 17, 9, 1);
+        let plain = LinkTable::new(&ft, 32, 1, 8e-8);
         let route: Vec<String> = ft.route(0, 17).iter().map(|l| l.to_string()).collect();
-        assert_eq!(plain, route);
+        assert_eq!(names(&plain, 9), route);
         // With spreading, only fabric links gain a way suffix, the way
         // index is in range, and recomputation is bit-identical.
-        let spread = ft.contention_links(0, 17, 9, ways);
-        assert_eq!(spread, ft.contention_links(0, 17, 9, ways));
+        let links = LinkTable::new(&ft, 32, ways, 8e-8);
+        let spread = names(&links, 9);
+        assert_eq!(spread, names(&links, 9));
         assert_eq!(spread.len(), route.len());
         assert!(spread[0].starts_with("host-up:"));
         assert!(spread.last().unwrap().starts_with("host-down:"));
@@ -667,13 +908,70 @@ mod tests {
         // pair: over many salts, more than one way must appear.
         let mut seen = std::collections::BTreeSet::new();
         for salt in 0..64u64 {
-            for name in ft.contention_links(0, 17, salt, ways) {
-                if let Some((_, w)) = name.rsplit_once(".w") {
-                    seen.insert(w.to_string());
+            for id in ft.contention_links(&links, 0, 17, salt) {
+                if links.is_fabric(id) {
+                    seen.insert(links.link(id).1);
                 }
             }
         }
         assert!(seen.len() > 1, "hash never spread across ways: {seen:?}");
+    }
+
+    #[test]
+    fn link_table_ids_follow_name_order_and_cover_every_route() {
+        let cases = [
+            (Topology::Star, 24, 1),
+            (Topology::fat_tree(4, 3, 2.0), 64, 2),
+            // Two-digit ways: name order (`.w10` < `.w2`) is not way order.
+            (Topology::fat_tree(16, 2, 1.0), 40, 16),
+            // Routes between the first 10 nodes cross routers 10..16.
+            (Topology::torus([4, 4, 1]), 10, 1),
+            // A ring of two reaches one neighbour both ways round.
+            (Topology::torus([2, 3, 1]), 6, 1),
+        ];
+        for (topo, nodes, ways) in cases {
+            let links = LinkTable::new(&topo, nodes, ways, 1e-8);
+            for id in 1..links.len() as LinkId {
+                assert!(links.name(id - 1) < links.name(id), "{topo:?} ids unsorted");
+            }
+            for a in 0..nodes {
+                for b in 0..nodes {
+                    for link in topo.route(a, b) {
+                        let way = if link.is_fabric() { (a + b) % ways } else { 0 };
+                        let id = links.id(link, way);
+                        let name = if link.is_fabric() && ways > 1 {
+                            format!("{link}.w{way}")
+                        } else {
+                            link.to_string()
+                        };
+                        assert_eq!(links.name(id), name, "{topo:?}");
+                        assert_eq!(links.link(id), (link, way), "{topo:?}");
+                        assert_eq!(links.lookup(&name), Some(id), "{topo:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn link_table_carries_gaps_and_edge_groups() {
+        let ft = Topology::fat_tree(4, 3, 2.0);
+        let links = LinkTable::new(&ft, 64, 1, 1e-8);
+        let id = |n: &str| links.lookup(n).unwrap();
+        assert_eq!(links.eff_gap(id("up:l2.s1")), 2e-8);
+        assert_eq!(links.eff_gap(id("down:l1.s7")), 2e-8);
+        assert_eq!(links.eff_gap(id("host-up:3")), 1e-8);
+        assert_eq!(links.edge_group(id("up:l1.s5")), Some(5));
+        assert_eq!(links.edge_group(id("up:l2.s1")), None);
+        assert_eq!(links.edge_group(id("down:l1.s5")), None);
+        assert_eq!(links.lookup("up:l3.s0"), None, "no tier above the root");
+        // Torus cables run at the edge gap and belong to no edge group.
+        let t = Topology::torus([4, 4, 1]);
+        let links = LinkTable::new(&t, 16, 1, 1e-8);
+        let hop = links.lookup("hop:0>1").unwrap();
+        assert_eq!(links.eff_gap(hop), 1e-8);
+        assert_eq!(links.edge_group(hop), None);
+        assert!(!links.is_fabric(hop));
     }
 
     #[test]

@@ -18,10 +18,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use mb_cluster::checkpoint::CheckpointModel;
-use mb_cluster::contention::{self, JobTraffic};
+use mb_cluster::contention::{self, ContentionEpoch, JobTraffic};
 use mb_cluster::reliability::{sample_failures, FailureLaw};
 use mb_cluster::spec::ClusterSpec;
-use mb_cluster::{Cluster, CommStats, ExecPolicy, NodeSet, Topology};
+use mb_cluster::{Cluster, CommStats, ExecPolicy, LinkId, LinkTable, NodeSet, Topology};
 use mb_telemetry::prof::LogHistogram;
 use mb_telemetry::{Fnv, Registry};
 
@@ -124,9 +124,10 @@ pub struct SchedConfig {
     /// job's isolated cost.
     pub route_spread: bool,
     /// Skip the O(events) telemetry that only reporting consumes —
-    /// per-node occupancy spans and the queue-depth series. Million-job
-    /// streams set this; it never changes the simulated timeline or the
-    /// fingerprint (neither feeds the outcome hash).
+    /// per-node occupancy spans, the queue-depth series and the
+    /// per-link `sched.uplink_rate_Bps` series. Million-job streams set
+    /// this; it never changes the simulated timeline, the fingerprint
+    /// or the per-link totals (none of them feeds the outcome hash).
     pub lean: bool,
 }
 
@@ -599,25 +600,30 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         Topology::FatTree { radix, .. } => n.div_ceil(radix),
         Topology::Torus { dims } => n.div_ceil(dims[0]),
     };
-    let mut link_bytes: BTreeMap<String, f64> = BTreeMap::new();
-    let mut link_shared_s: BTreeMap<String, f64> = BTreeMap::new();
-    // Links shared during the epoch that ends at the *next* event: the
-    // interval (prev event, now] is charged to the set computed at the
-    // previous event.
-    let mut shared_prev: (f64, Vec<String>) = (0.0, Vec::new());
+    // Per-link state is indexed by the run's interned link ids; link
+    // names are only looked up when the report is assembled. `None`
+    // marks a link the accounting never touched.
+    let links = LinkTable::new(&topo, n, ways, gap);
+    let mut link_bytes: Vec<Option<f64>> = vec![None; links.len()];
+    let mut link_shared_s: Vec<Option<f64>> = vec![None; links.len()];
+    // The epoch state doubles as the record of the links shared during
+    // the epoch that ends at the *next* event: the interval (`t_prev`,
+    // now] is charged to the set computed at the previous event.
+    let mut ep = ContentionEpoch::new(&links);
+    let mut t_prev = 0.0;
     let mut max_contention = 1.0f64;
-    let mut rate_series: HashMap<String, mb_telemetry::MetricHandle> = HashMap::new();
+    let mut rate_series: Vec<Option<mb_telemetry::MetricHandle>> = vec![None; links.len()];
 
     // Integrate a run's per-link byte rates into the whole-workload
     // counters up to virtual time `t`. Wall seconds shrink to nominal
     // seconds through the current slowdown (a slowed job moves the same
     // bytes over a longer wall interval).
-    fn account_links(link_bytes: &mut BTreeMap<String, f64>, r: &mut RunEntry, t: f64) {
+    fn account_links(link_bytes: &mut [Option<f64>], r: &mut RunEntry, t: f64) {
         let dt = (t - r.acct_s).max(0.0);
         if dt > 0.0 && !r.traffic.rates.is_empty() {
             let nominal = dt / r.slow;
-            for (l, rate) in &r.traffic.rates {
-                *link_bytes.entry(l.clone()).or_default() += rate * nominal;
+            for &(l, rate) in &r.traffic.rates {
+                *link_bytes[l as usize].get_or_insert(0.0) += rate * nominal;
             }
         }
         r.acct_s = t;
@@ -856,8 +862,7 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         // other's traffic until the next event — deterministic either
         // way, but freezing keeps the score independent of pick order).
         let group_loads: Vec<f64> = if cfg.placement == Placement::ContentionAware && !is_star {
-            let traffics: Vec<&JobTraffic> = running.iter().map(|r| &r.traffic).collect();
-            contention::edge_uplink_loads(&traffics, ngroups)
+            contention::edge_uplink_loads(&links, running.iter().map(|r| &r.traffic), ngroups)
         } else {
             Vec::new()
         };
@@ -896,12 +901,11 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
                     let profile = service.step_profile_on(work, &nodes);
                     let reference = service.step_s(work, nodes.len());
                     let traffic = contention::job_traffic(
-                        &topo,
+                        &links,
                         &profile.stats,
                         nodes.ids(),
                         profile.step_s,
                         q.id as u64,
-                        ways,
                     );
                     (profile.step_s / reference, traffic)
                 };
@@ -944,22 +948,19 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         // unchanged (the common case, and *always* the case while a
         // job is contention-free) are left untouched bit for bit.
         if !is_star {
-            let (t_prev, ref links_prev) = shared_prev;
-            for l in links_prev {
-                *link_shared_s.entry(l.clone()).or_default() += now - t_prev;
+            for &l in ep.shared() {
+                *link_shared_s[l as usize].get_or_insert(0.0) += now - t_prev;
             }
-            let traffics: Vec<&JobTraffic> = running.iter().map(|r| &r.traffic).collect();
-            let ep = contention::epoch(&topo, gap, &traffics);
-            for (l, rate) in &ep.agg_rates {
-                if !(l.starts_with("up:") || l.starts_with("down:")) {
-                    continue;
+            contention::epoch(&links, running.iter().map(|r| &r.traffic), &mut ep);
+            if !cfg.lean {
+                for (l, rate) in ep.agg_rates().filter(|&(l, _)| links.is_fabric(l)) {
+                    let h = *rate_series[l as usize].get_or_insert_with(|| {
+                        registry.series("sched.uplink_rate_Bps", links.name(l))
+                    });
+                    registry.sample(h, now, rate);
                 }
-                let h = *rate_series
-                    .entry(l.clone())
-                    .or_insert_with(|| registry.series("sched.uplink_rate_Bps", l));
-                registry.sample(h, now, *rate);
             }
-            for (r, &s_new) in running.iter_mut().zip(&ep.factors) {
+            for (r, &s_new) in running.iter_mut().zip(ep.factors()) {
                 max_contention = max_contention.max(s_new);
                 if s_new == r.slow {
                     continue;
@@ -970,7 +971,7 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
                 r.slow = s_new;
                 r.end_s = now + r.nominal_rem_s * s_new;
             }
-            shared_prev = (now, ep.shared);
+            t_prev = now;
         }
     }
 
@@ -990,6 +991,18 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
     registry.count("sched.jobs", policy.name(), records.len() as u64);
     registry.count("sched.failures", policy.name(), u64::from(failures_applied));
     registry.count("sched.requeues", policy.name(), u64::from(requeues));
+    // Name the touched links; ids ascend in name order, so the maps and
+    // the registry entries come out exactly as name-keyed accounting
+    // wrote them.
+    let named = |per_link: Vec<Option<f64>>| -> BTreeMap<String, f64> {
+        per_link
+            .into_iter()
+            .enumerate()
+            .filter_map(|(l, v)| Some((links.name(l as LinkId).to_string(), v?)))
+            .collect()
+    };
+    let link_bytes = named(link_bytes);
+    let link_shared_s = named(link_shared_s);
     for (l, b) in &link_bytes {
         registry.count("sched.link_bytes", l, b.round() as u64);
     }

@@ -168,8 +168,8 @@ impl RunTrace {
     }
 }
 
-/// Phase accounting over a sequence of *phase-open* timestamps — the
-/// shared logic behind `mb-cluster`'s `Tracer::phase_time`.
+/// Phase accounting over a sequence of *phase-open* timestamps: total
+/// virtual seconds spent in each named phase.
 ///
 /// Semantics: opening a phase closes the previous one; the final open
 /// phase closes at `end_at`. `end_at` must be at least the last marker
@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn phase_durations_accumulate_repeated_names() {
         // Re-entering "a" must add both visits, including the trailing
-        // open one — the mis-accounting the old Tracer had.
+        // open one.
         let d = phase_durations(&[(0.0, "a"), (1.0, "b"), (4.0, "a")], 10.0);
         assert_eq!(d, vec![("a".to_string(), 7.0), ("b".to_string(), 3.0)]);
     }
