@@ -49,6 +49,28 @@ fn stats_key(stats: &[CommStats]) -> Vec<(u64, u64, u64, u64, u64, u64, u64, u64
         .collect()
 }
 
+/// One fingerprint over everything the step simulates: the particle
+/// state, every rank's [`CommStats`] and every rank's final clock.
+fn step_fingerprint(report: &StepReport) -> u64 {
+    let mut h = Fnv::new();
+    h.write_u64(particle_state_hash(report));
+    for k in stats_key(&report.comm) {
+        for v in [k.0, k.1, k.2, k.3, k.4, k.5, k.6, k.7] {
+            h.write_u64(v);
+        }
+    }
+    for r in &report.per_rank {
+        h.write_f64(r.clock_s);
+    }
+    h.finish()
+}
+
+/// Golden pin for the 6000-body Plummer step on the 24-node MetaBlade:
+/// [`step_fingerprint`] and the makespan bits, captured under the legacy
+/// global-min sequential engine, so every policy is checked against
+/// history rather than against another engine.
+const STEP_PIN: (&str, u64) = ("915efe0e45f18045", 0x3fd2_1764_74a9_929a);
+
 #[test]
 fn treecode_step_is_bit_identical_across_executor_policies() {
     let bodies = plummer(6_000, 42);
@@ -61,6 +83,14 @@ fn treecode_step_is_bit_identical_across_executor_policies() {
         &cfg,
     );
     assert_eq!(reference.per_rank.len(), 24);
+    assert_eq!(
+        (
+            format!("{:016x}", step_fingerprint(&reference)).as_str(),
+            reference.makespan_s.to_bits()
+        ),
+        STEP_PIN,
+        "treecode step drifted from the golden pin"
+    );
 
     for policy in [
         ExecPolicy::Parallel { workers: 2 },

@@ -73,6 +73,15 @@ fn job_256(comm: &mut Comm) -> Vec<f64> {
     v
 }
 
+/// Golden pins for `job_256`: the outcome fingerprint and the makespan
+/// bits, captured under the legacy global-min sequential engine. The
+/// reference that engine provided at run time survives as data, so every
+/// width is checked against history rather than against another engine.
+const STAR_256_PIN: (&str, u64) = ("7df7222566d6bb09", 0x3f9c_a852_5060_025c);
+/// As [`STAR_256_PIN`], for `job_256` on the 16-port two-level 4:1
+/// fat tree.
+const FAT_TREE_256_PIN: (&str, u64) = ("38795f1c1d2f33d6", 0x3fa2_c6a9_a33f_96f6);
+
 #[test]
 fn outcome_is_bit_identical_across_engines_at_256_ranks() {
     let spec = metablade_spec().with_nodes(256);
@@ -112,6 +121,13 @@ fn outcome_is_bit_identical_across_engines_at_256_ranks() {
         makespans.windows(2).all(|w| w[0] == w[1]),
         "makespan bits differ across engines"
     );
+    for ((label, print), mk) in prints.iter().zip(&makespans) {
+        assert_eq!(
+            (format!("{print:016x}").as_str(), *mk),
+            STAR_256_PIN,
+            "{label}: outcome drifted from the golden pin at 256 ranks"
+        );
+    }
 }
 
 #[test]
@@ -145,6 +161,13 @@ fn fat_tree_outcome_is_bit_identical_across_engine_widths_at_256_ranks() {
             "{label} diverged from {ref_label} on the fat-tree at 256 ranks"
         );
         assert_eq!(*mk, ref_mk, "{label}: makespan bits moved");
+    }
+    for (label, print, mk) in &prints {
+        assert_eq!(
+            (format!("{print:016x}").as_str(), *mk),
+            FAT_TREE_256_PIN,
+            "{label}: fat-tree outcome drifted from the golden pin"
+        );
     }
 }
 
