@@ -1,5 +1,5 @@
 //! Executor-policy benchmarks: host cost of the same simulated job
-//! under the sequential engine, bounded worker pools, and the unbounded
+//! at width 1, bounded worker pools, and the unbounded
 //! default (wall-clock only — simulated results are policy-invariant).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -12,7 +12,7 @@ fn bench_executor(c: &mut Criterion) {
     let mut group = c.benchmark_group("executor");
     group.sample_size(10);
     let policies = [
-        ExecPolicy::Sequential,
+        ExecPolicy::Parallel { workers: 1 },
         ExecPolicy::Parallel { workers: 2 },
         ExecPolicy::Parallel { workers: 8 },
         ExecPolicy::Unbounded,
@@ -41,13 +41,13 @@ fn bench_executor(c: &mut Criterion) {
 }
 
 /// The event-driven core at scale: one allreduce+compute round over 128
-/// simulated ranks, where heap admission and per-rank wakeups separate
-/// from the legacy engine's O(n) scan + notify_all herd.
+/// simulated ranks, where heap admission and per-rank wakeups dominate
+/// the executor's host cost.
 fn bench_event_core_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("executor_scale");
     group.sample_size(5);
     let policies = [
-        ExecPolicy::Sequential,
+        ExecPolicy::Parallel { workers: 1 },
         ExecPolicy::Parallel { workers: 8 },
         ExecPolicy::Unbounded,
     ];

@@ -1,4 +1,4 @@
-//! The `bench_baseline` measurement harness: sequential-vs-parallel
+//! The `bench_baseline` measurement harness: width-1-vs-width-N
 //! executor sweeps over the simulated cluster and the distributed
 //! treecode step, emitted as machine-readable `BENCH_cluster.json` /
 //! `BENCH_treecode.json` documents (schema documented in
@@ -26,6 +26,7 @@ use mb_cluster::machine::{Cluster, SpmdOutcome};
 use mb_cluster::spec::{metablade, ClusterSpec};
 use mb_cluster::topology::record_link_occupancy;
 use mb_cluster::{Comm, CommStats, ExecPolicy, Topology};
+use mb_telemetry::artifact::{host_threads, unix_time_s};
 use mb_telemetry::json::Json;
 use mb_treecode::parallel::{distributed_step, DistributedConfig};
 use mb_treecode::plummer;
@@ -99,10 +100,10 @@ impl SweepConfig {
 
 /// Communication rounds for one cluster case: `rounds` up to 24 ranks,
 /// scaled down as `rounds / (ranks / 16)` (min 1) from 128 ranks up, so
-/// the event count per case stays roughly flat while the legacy
-/// sequential reference engine — whose per-event cost grows with rank
-/// count — remains measurable at 1024 ranks. The bench *name* embeds the
-/// effective round count, keeping every record self-describing.
+/// the event count per case stays roughly flat across the sweep. The
+/// formula is part of every record's identity: the bench *name* embeds
+/// the effective round count, keeping every record self-describing and
+/// its fingerprint comparable with the committed baselines.
 pub fn rounds_for(rounds: usize, ranks: usize) -> usize {
     if ranks >= 128 {
         (rounds / (ranks / 16)).max(1)
@@ -111,30 +112,16 @@ pub fn rounds_for(rounds: usize, ranks: usize) -> usize {
     }
 }
 
-/// The executor policies every sweep compares: the sequential reference
-/// engine, bounded pools of 2 and 8 workers, and the unbounded default.
+/// The executor policies every sweep compares: width 1 (`seq`, the
+/// reference the speedups are taken against), bounded pools of 2 and 8
+/// workers, and the unbounded default.
 pub fn policies() -> [ExecPolicy; 4] {
     [
-        ExecPolicy::Sequential,
+        ExecPolicy::Parallel { workers: 1 },
         ExecPolicy::Parallel { workers: 2 },
         ExecPolicy::Parallel { workers: 8 },
         ExecPolicy::Unbounded,
     ]
-}
-
-/// Host hardware threads (the wall-clock context for speedup numbers).
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Seconds since the Unix epoch (document timestamp).
-pub fn unix_time_s() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 // The hasher moved to `mb_telemetry::fnv` (PR 5) so `mb-sched` can
@@ -449,7 +436,7 @@ pub fn fat_tree_link_trace(cfg: &SweepConfig) -> String {
         .unwrap_or(8);
     let rounds = rounds_for(cfg.rounds, ranks);
     let cluster = Cluster::new(metablade().with_nodes(ranks).with_topology(ft))
-        .with_exec(ExecPolicy::Sequential);
+        .with_exec(ExecPolicy::Parallel { workers: 1 });
     let (out, trace) = cluster.run_traced(allreduce_job(rounds));
     let occ = ft.link_occupancy(&out.stats, None);
     let mut reg = mb_telemetry::metrics::Registry::new();

@@ -8,9 +8,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use mb_telemetry::artifact::host_threads;
 use mb_telemetry::json::Json;
 
-use crate::baseline::{cluster_baseline, host_threads, treecode_baseline, SweepConfig};
+use crate::baseline::{cluster_baseline, treecode_baseline, SweepConfig};
 use crate::gate::{compare_dirs, Tolerances};
 use crate::write_artifact;
 
@@ -179,40 +180,107 @@ pub fn baseline_main() {
     }
 }
 
-fn parse_gate_args() -> (PathBuf, PathBuf, Tolerances) {
+const GATE_USAGE: &str = "\
+bench_gate: diff fresh BENCH documents against the committed baselines
+
+USAGE:
+    bench_gate [--smoke] [--baseline DIR] [--fresh DIR] [--tol-events F] [--help]
+
+OPTIONS:
+    --smoke         Widen the wall-clock bands for the seconds-scale smoke
+                    sweep (hard checks are never relaxed)
+    --baseline DIR  Where the committed baselines live (default: the
+                    current directory)
+    --fresh DIR     Where the fresh documents were written (default:
+                    $MB_BENCH_DIR, else the current directory)
+    --tol-events F  Allowed fractional events_per_sec drop (e.g. 0.3)
+    -h, --help      Print this help and exit
+
+Prints the report, writes <fresh>/bench_gate_report.txt and exits
+nonzero on any violation.";
+
+/// What `bench_gate`'s argv asks for.
+#[derive(Debug)]
+enum GateArgs {
+    Run {
+        baseline: PathBuf,
+        fresh: PathBuf,
+        tol: Tolerances,
+    },
+    Help,
+}
+
+/// Parse `bench_gate`'s argv (without the program name), with `fresh`
+/// as the default fresh-document directory; `Err` names the offending
+/// argument.
+fn parse_gate_args(
+    args: impl IntoIterator<Item = String>,
+    mut fresh: PathBuf,
+) -> Result<GateArgs, String> {
     let mut baseline = PathBuf::from(".");
-    let mut fresh = std::env::var_os("MB_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
     let mut tol = Tolerances::default();
-    let mut args = std::env::args().skip(1);
+    let mut tol_events = None;
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
+            "-h" | "--help" => return Ok(GateArgs::Help),
             "--smoke" => tol = Tolerances::smoke(),
-            "--baseline" => {
-                baseline = PathBuf::from(args.next().expect("--baseline needs a directory"));
-            }
-            "--fresh" => {
-                fresh = PathBuf::from(args.next().expect("--fresh needs a directory"));
+            "--baseline" | "--fresh" => {
+                let dir = args
+                    .next()
+                    .ok_or_else(|| format!("{a} needs a directory"))?;
+                if a == "--baseline" {
+                    baseline = PathBuf::from(dir);
+                } else {
+                    fresh = PathBuf::from(dir);
+                }
             }
             "--tol-events" => {
-                let v = args.next().expect("--tol-events needs a fraction");
-                tol.events_per_sec_drop = v.parse().expect("--tol-events must be a number");
+                let v = args.next().unwrap_or_default();
+                match v.parse::<f64>() {
+                    Ok(f) if f.is_finite() && f >= 0.0 => tol_events = Some(f),
+                    _ => {
+                        return Err(format!(
+                            "--tol-events needs a non-negative fraction, got '{v}'"
+                        ))
+                    }
+                }
             }
-            other => panic!(
-                "unknown argument {other:?}; usage: \
-                 [--smoke] [--baseline DIR] [--fresh DIR] [--tol-events F]"
-            ),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    (baseline, fresh, tol)
+    if let Some(f) = tol_events {
+        tol.events_per_sec_drop = f;
+    }
+    Ok(GateArgs::Run {
+        baseline,
+        fresh,
+        tol,
+    })
 }
 
 /// `bench_gate`: diff fresh BENCH documents against the committed
 /// baselines (argv documented on the binary); nonzero exit on
-/// violation.
+/// violation, exit 2 on a bad argument.
 pub fn gate_main() -> ExitCode {
-    let (baseline, fresh, tol) = parse_gate_args();
+    let default_fresh = std::env::var_os("MB_BENCH_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("."));
+    let (baseline, fresh, tol) = match parse_gate_args(std::env::args().skip(1), default_fresh) {
+        Ok(GateArgs::Run {
+            baseline,
+            fresh,
+            tol,
+        }) => (baseline, fresh, tol),
+        Ok(GateArgs::Help) => {
+            println!("{GATE_USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("bench_gate: {e}\n\n{GATE_USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     println!(
         "bench_gate: baseline {} vs fresh {} (events_per_sec band {:.0}%)\n",
         baseline.display(),
@@ -250,6 +318,65 @@ mod tests {
         assert!(parse(&["--ranks"]).is_err());
         assert!(parse(&["--ranks", "8,x"]).is_err());
         assert!(parse(&["--ranks", "0"]).is_err());
+    }
+
+    fn parse_gate(args: &[&str]) -> Result<GateArgs, String> {
+        parse_gate_args(args.iter().map(|a| a.to_string()), PathBuf::from("fresh"))
+    }
+
+    #[test]
+    fn gate_help_and_bad_arguments_are_not_panics() {
+        assert!(matches!(parse_gate(&["--help"]), Ok(GateArgs::Help)));
+        assert!(matches!(parse_gate(&["--smoke", "-h"]), Ok(GateArgs::Help)));
+        let err = parse_gate(&["--bogus"]).unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+        for missing in ["--baseline", "--fresh", "--tol-events"] {
+            let err = parse_gate(&[missing]).unwrap_err();
+            assert!(err.contains(missing), "{err}");
+        }
+        for bad in ["x", "-0.1", "NaN", "inf"] {
+            let err = parse_gate(&["--tol-events", bad]).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+    }
+
+    #[test]
+    fn gate_arguments_shape_the_comparison() {
+        let Ok(GateArgs::Run {
+            baseline,
+            fresh,
+            tol,
+        }) = parse_gate(&[])
+        else {
+            panic!("no arguments must run the gate");
+        };
+        assert_eq!(baseline, PathBuf::from("."));
+        assert_eq!(fresh, PathBuf::from("fresh"));
+        assert_eq!(
+            tol.events_per_sec_drop,
+            Tolerances::default().events_per_sec_drop
+        );
+        let Ok(GateArgs::Run {
+            baseline,
+            fresh,
+            tol,
+        }) = parse_gate(&[
+            "--tol-events",
+            "0.3",
+            "--smoke",
+            "--baseline",
+            "b",
+            "--fresh",
+            "f",
+        ])
+        else {
+            panic!("full argv rejected");
+        };
+        assert_eq!(baseline, PathBuf::from("b"));
+        assert_eq!(fresh, PathBuf::from("f"));
+        // The explicit band wins over --smoke's, whatever the order.
+        assert_eq!(tol.events_per_sec_drop, 0.3);
+        assert_eq!(tol.gflops_drop, Tolerances::smoke().gflops_drop);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment binaries: where telemetry
 //! artifacts (Chrome traces, run manifests) land on disk, the standard
 //! manifest a traced treecode run produces, the [`baseline`]
-//! sequential-vs-parallel benchmark harness behind `bench_baseline`,
+//! width-1-vs-width-N executor benchmark harness behind `bench_baseline`,
 //! and the [`gate`] regression checker behind `bench_gate`.
 //!
 //! # Example

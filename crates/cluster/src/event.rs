@@ -1,25 +1,24 @@
 //! The event-driven executor core: lookahead scheduling over a worker
 //! pool.
 //!
-//! This replaces the legacy global-min-barrier admission of
-//! [`crate::exec::Scheduler`] for the parallel [`crate::exec::ExecPolicy`]
-//! modes. Each rank execution is a resumable task: its OS thread parks on
-//! a **per-rank gate** whenever the task is not admitted, and the core
-//! multiplexes the admitted tasks over a fixed number of execution slots
-//! (the worker pool). Three structures drive admission:
+//! The one engine behind every [`crate::exec::ExecPolicy`]; width 1 is
+//! this core with a single slot. Each rank execution is a resumable
+//! task: its OS thread parks on a **per-rank gate** whenever the task is
+//! not admitted, and the core multiplexes the admitted tasks over a
+//! fixed number of execution slots (the worker pool). Three structures
+//! drive admission:
 //!
 //! * a **ready queue** — a binary min-heap ordered by
 //!   `(virtual clock, rank)`, so selecting the next task is `O(log n)`
-//!   instead of the legacy `O(n)` scan over every rank;
+//!   rather than an `O(n)` scan over every rank;
 //! * a **running heap** — the admitted tasks' admission-time clocks,
 //!   giving the scheduler a conservative lower bound on the slowest
 //!   in-flight rank in `O(log n)` (entries are lazily invalidated, never
 //!   searched);
 //! * a **lookahead horizon** — instead of only admitting the globally
-//!   minimal clock (the legacy barrier), any ready task within
+//!   minimal clock (a global-min barrier), any ready task within
 //!   `min_running_clock + L` is admissible, where `L` is the network
-//!   model's [`crate::network::NetworkModel::min_delivery_delay`]
-//!   (overridable via the `MB_LOOKAHEAD` environment variable, seconds).
+//!   model's [`crate::network::NetworkModel::min_delivery_delay`].
 //!   When the cluster's topology makes some node pairs farther apart
 //!   than others, the core upgrades the single scalar to **per-pair
 //!   bounds** (see [`PairBound`]): a candidate task is admitted when its
@@ -47,9 +46,9 @@
 //! per-pair form because the bound is evaluated against the *current
 //! floor rank specifically* — the one rank whose unsent messages the
 //! horizon is guarding against (see DESIGN.md §13 for the full sketch).
-//! Wake-ups use one `Condvar` per rank (`notify_one` direct handoff),
-//! eliminating the legacy `notify_all` thundering herd that made every
-//! admission cost `O(k·n)` wake-and-rescan work at high rank counts.
+//! Wake-ups use one `Condvar` per rank (`notify_one` direct handoff), so
+//! an admission wakes exactly the admitted task — no `notify_all`
+//! thundering herd of `O(k·n)` wake-and-rescan work at high rank counts.
 //!
 //! Deadlock freedom: when no task holds a slot the heap minimum is
 //! admitted unconditionally, and the heap minimum is always admissible
@@ -64,8 +63,6 @@ use std::time::Instant;
 use mb_telemetry::eventlog::EventLog;
 use mb_telemetry::json::Json;
 use mb_telemetry::prof::{ConcurrentHistogram, LogHistogram, ShardedHistogram};
-
-use crate::exec::Admission;
 
 /// Per-pair admission bounds: how far ahead (virtual seconds) rank `to`
 /// may run of rank `from` without being able to observe any message
@@ -194,7 +191,7 @@ pub struct ExecutorReport {
     pub lookahead_s: f64,
     /// Total task admissions (initial + every recv re-admission).
     pub admissions: u64,
-    /// Admissions the legacy min-clock barrier would have delayed: the
+    /// Admissions a global min-clock barrier would have delayed: the
     /// admitted task's clock was strictly ahead of the slowest admitted
     /// rank's known clock.
     pub lookahead_grants: u64,
@@ -331,14 +328,15 @@ impl CoreState {
     }
 }
 
-/// The event-driven executor core. Implements [`Admission`] so the
-/// communicator's slot-handoff protocol (release before a blocking recv,
-/// re-acquire after) is unchanged from the legacy scheduler.
+/// The event-driven executor core. The communicator's slot-handoff
+/// protocol: a rank blocks in [`EventCore::acquire`] until it may make
+/// host progress, and calls [`EventCore::release`] whenever it is about
+/// to block on a message (or has finished).
 pub struct EventCore {
     workers: usize,
     lookahead_s: f64,
     /// Topology-aware per-pair horizon bounds; `None` keeps the scalar
-    /// `lookahead_s` for every pair (the star, or `MB_LOOKAHEAD` runs).
+    /// `lookahead_s` for every pair (the star).
     pair_bounds: Option<Arc<dyn PairBound>>,
     state: Mutex<CoreState>,
     gates: Vec<Gate>,
@@ -416,25 +414,6 @@ impl EventCore {
     pub fn with_pair_bounds(mut self, bounds: Arc<dyn PairBound>) -> Self {
         self.pair_bounds = Some(bounds);
         self
-    }
-
-    /// The operator's explicit scalar horizon, if `MB_LOOKAHEAD`
-    /// (seconds) is set and parses to a non-negative number. An explicit
-    /// override also disables per-pair bounds in
-    /// [`crate::machine::Cluster`] runs — the operator asked for exactly
-    /// this window.
-    pub fn lookahead_env_override() -> Option<f64> {
-        std::env::var("MB_LOOKAHEAD")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|l| *l >= 0.0)
-    }
-
-    /// The lookahead horizon, from `MB_LOOKAHEAD` (seconds) when set and
-    /// parsable, else `default_s` (normally the network model's minimum
-    /// delivery delay).
-    pub fn lookahead_from_env(default_s: f64) -> f64 {
-        Self::lookahead_env_override().unwrap_or(default_s)
     }
 
     /// Execution slots in the pool.
@@ -523,11 +502,9 @@ impl EventCore {
             self.gates[rank].cv.notify_one();
         }
     }
-}
 
-impl Admission for EventCore {
     /// Block until `rank` (at virtual time `clock`) is admitted.
-    fn acquire(&self, rank: usize, clock: f64) {
+    pub fn acquire(&self, rank: usize, clock: f64) {
         let t_enter = self.prof.as_ref().map(|_| Instant::now());
         {
             let mut st = self.state.lock().expect("event core lock");
@@ -561,7 +538,7 @@ impl Admission for EventCore {
     }
 
     /// Give up `rank`'s slot (about to block on a message, or finished).
-    fn release(&self, rank: usize) {
+    pub fn release(&self, rank: usize) {
         if let Some(p) = &self.prof {
             // Safe to take the gate lock before the core lock here: the
             // dispatcher only touches gates of *Ready* tasks, and `rank`
@@ -640,8 +617,7 @@ mod tests {
     #[test]
     fn single_slot_admission_is_lowest_clock_first() {
         // With one slot and all tasks queued before any admission, the
-        // heap hands out slots in (clock, rank) order — same contract the
-        // legacy scheduler's admission test pins down.
+        // heap hands out slots in (clock, rank) order.
         let nranks = 6;
         let core = Arc::new(EventCore::new(1, nranks, 0.0));
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -789,14 +765,6 @@ mod tests {
         let rep = core.report();
         assert!(rep.horizon_waits >= 1);
         assert_eq!(rep.pair_grants, 0);
-    }
-
-    #[test]
-    fn lookahead_env_override_parses() {
-        assert_eq!(EventCore::lookahead_from_env(85e-6), 85e-6);
-        // Parsing itself (env mutation is process-global, so exercise the
-        // parser through the documented contract only).
-        assert_eq!("0.25".trim().parse::<f64>().ok(), Some(0.25));
     }
 
     #[test]

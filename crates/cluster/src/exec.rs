@@ -3,38 +3,27 @@
 //!
 //! Every rank always runs on its own scoped thread (a blocked `recv` must
 //! be able to suspend mid-closure), but *how many ranks make host
-//! progress at once* is an [`ExecPolicy`], and *which engine admits
-//! them* follows from the policy:
+//! progress at once* is an [`ExecPolicy`]. One engine serves every
+//! policy: the event-driven [`crate::event::EventCore`] (heap-ordered
+//! ready queue, per-rank lookahead, per-rank wakeups).
 //!
-//! * [`ExecPolicy::Sequential`] — exactly one rank runs at a time,
-//!   admitted by the legacy conservative [`Scheduler`] in this module:
-//!   the reference engine benchmarks compare against.
 //! * [`ExecPolicy::Parallel`] — at most `workers` ranks hold an
-//!   *execution slot* at any instant, admitted by the event-driven
-//!   [`crate::event::EventCore`] (heap-ordered ready queue, per-rank
-//!   lookahead, per-rank wakeups). This bounds host CPU/memory pressure
-//!   for big sweeps without changing any simulated result.
+//!   *execution slot* at any instant. This bounds host CPU/memory
+//!   pressure for big sweeps without changing any simulated result;
+//!   `workers == 1` (label `seq`) runs one rank at a time.
 //! * [`ExecPolicy::Unbounded`] — every rank is admissible at all times:
-//!   the `workers == nranks` special case of the event core. The default.
+//!   the `workers == nranks` special case. The default.
 //!
-//! **The conservative-scheduler invariant.** When slots are scarce the
-//! legacy [`Scheduler`] always admits the waiting rank with the *lowest
-//! virtual clock* (ties broken by rank id). A rank at the globally
-//! minimal virtual time can never be affected by a virtual-time-earlier
-//! message that does not exist yet — every message it will ever receive
-//! carries a delivery timestamp at or after some sender's current clock —
-//! so advancing it is always safe, and the policy also bounds
-//! virtual-clock skew between ranks (which bounds the pending-message
-//! buffers). The event core relaxes this global-minimum barrier into a
-//! per-rank lookahead window derived from the network model — see
-//! [`crate::event`] for why that is equally safe.
-//! Determinism itself does not *depend* on the admission order: the
+//! **Determinism does not depend on the admission order.** The
 //! communicator's receives name their source rank and are FIFO per
 //! (source, tag), so a rank's virtual clock is a pure function of its own
-//! event sequence and its senders' timestamps. The scheduler therefore
+//! event sequence and its senders' timestamps. The executor therefore
 //! only decides *wall-clock* behaviour; `SpmdOutcome`s are bit-identical
-//! under every policy and both engines (test-enforced at 1/4/8/24/256
-//! ranks, and regressed end-to-end by `tests/determinism.rs`).
+//! under every policy (test-enforced at 1/4/8/24/256 ranks, and pinned
+//! end-to-end against golden fingerprints by `tests/determinism.rs`).
+//! The core's lookahead horizon exists only to bound virtual-clock skew
+//! between ranks, and with it the pending-message buffers — see
+//! [`crate::event`].
 //!
 //! A rank releases its slot whenever it would block the host thread
 //! waiting for a message, and re-applies for one (at its current virtual
@@ -42,18 +31,14 @@
 //! work-conserving: a free slot is never left idle while any rank is
 //! runnable.
 
-use std::sync::{Condvar, Mutex};
-
 /// How simulated ranks are mapped onto host worker threads. See the
-/// [module docs](self) for the scheduling invariant.
+/// [module docs](self) for the determinism argument.
 ///
 /// The default comes from the `MB_PARALLEL` environment variable:
-/// unset/empty → `Unbounded`, `0`/`seq`/`sequential` → `Sequential`,
-/// `N` → `Parallel { workers: N }`.
+/// unset/empty → `Unbounded`, `0`/`1`/`seq`/`sequential` →
+/// `Parallel { workers: 1 }`, `N` → `Parallel { workers: N }`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecPolicy {
-    /// One rank makes progress at a time (reference engine).
-    Sequential,
     /// At most `workers` ranks make progress at once (`workers ≥ 1`).
     Parallel {
         /// Concurrent execution slots.
@@ -78,19 +63,17 @@ impl ExecPolicy {
     pub fn parse(v: &str) -> Option<Self> {
         match v.trim() {
             "" => Some(ExecPolicy::Unbounded),
-            "seq" | "sequential" | "0" => Some(ExecPolicy::Sequential),
-            n => match n.parse::<usize>() {
-                Ok(1) => Some(ExecPolicy::Sequential),
-                Ok(w) => Some(ExecPolicy::Parallel { workers: w }),
-                Err(_) => None,
-            },
+            "seq" | "sequential" => Some(ExecPolicy::Parallel { workers: 1 }),
+            n => n
+                .parse::<usize>()
+                .ok()
+                .map(|w| ExecPolicy::Parallel { workers: w.max(1) }),
         }
     }
 
     /// Concurrent execution slots, `None` when unbounded.
     pub fn workers(&self) -> Option<usize> {
         match *self {
-            ExecPolicy::Sequential => Some(1),
             ExecPolicy::Parallel { workers } => Some(workers.max(1)),
             ExecPolicy::Unbounded => None,
         }
@@ -106,123 +89,17 @@ impl ExecPolicy {
     }
 }
 
-/// The slot-handoff protocol between rank tasks and an executor engine:
-/// a rank blocks in [`Admission::acquire`] until it may make host
-/// progress, and calls [`Admission::release`] whenever it is about to
-/// block on a message (or has finished). Implemented by the legacy
-/// [`Scheduler`] (the sequential reference engine) and by the
-/// event-driven [`crate::event::EventCore`] that backs the parallel
-/// policies.
-pub trait Admission: Send + Sync {
-    /// Block until `rank` (at virtual time `clock`) is admitted to run.
-    fn acquire(&self, rank: usize, clock: f64);
-    /// Give up `rank`'s slot (about to block on a message, or finished).
-    fn release(&self, rank: usize);
-}
-
-/// Per-rank scheduling state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum RankState {
-    /// Wants a slot; applied at this virtual clock.
-    Waiting(f64),
-    /// Holds a slot.
-    Running,
-    /// Blocked on a message (or finished): holds no slot, wants none.
-    Detached,
-}
-
-struct SchedState {
-    running: usize,
-    ranks: Vec<RankState>,
-}
-
-/// The conservative virtual-time slot scheduler backing bounded
-/// [`ExecPolicy`] modes. See the [module docs](self) for the invariant.
-pub struct Scheduler {
-    workers: usize,
-    state: Mutex<SchedState>,
-    cv: Condvar,
-}
-
-impl Scheduler {
-    /// A scheduler with `workers` execution slots for `nranks` ranks.
-    pub fn new(workers: usize, nranks: usize) -> Self {
-        Scheduler {
-            workers: workers.max(1),
-            state: Mutex::new(SchedState {
-                running: 0,
-                ranks: vec![RankState::Detached; nranks],
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Number of execution slots.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// True when `rank` is the admission candidate: the waiting rank
-    /// with the lowest (virtual clock, rank id).
-    fn is_min_waiting(st: &SchedState, rank: usize, clock: f64) -> bool {
-        st.ranks.iter().enumerate().all(|(r, s)| match *s {
-            RankState::Waiting(c) => (clock, rank) <= (c, r),
-            _ => true,
-        })
-    }
-
-    /// Block until `rank` (at virtual time `clock`) is admitted to run.
-    pub fn acquire(&self, rank: usize, clock: f64) {
-        let mut st = self.state.lock().expect("scheduler lock");
-        st.ranks[rank] = RankState::Waiting(clock);
-        loop {
-            if st.running < self.workers && Self::is_min_waiting(&st, rank, clock) {
-                st.ranks[rank] = RankState::Running;
-                st.running += 1;
-                // A remaining free slot may now admit the next-lowest rank.
-                self.cv.notify_all();
-                return;
-            }
-            st = self.cv.wait(st).expect("scheduler wait");
-        }
-    }
-
-    /// Give up `rank`'s slot (about to block on a message, or finished).
-    pub fn release(&self, rank: usize) {
-        let mut st = self.state.lock().expect("scheduler lock");
-        debug_assert_eq!(st.ranks[rank], RankState::Running, "release without slot");
-        st.ranks[rank] = RankState::Detached;
-        st.running -= 1;
-        self.cv.notify_all();
-    }
-}
-
-impl Admission for Scheduler {
-    fn acquire(&self, rank: usize, clock: f64) {
-        Scheduler::acquire(self, rank, clock);
-    }
-
-    fn release(&self, rank: usize) {
-        Scheduler::release(self, rank);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn policy_parses_env_values() {
+        let seq = Some(ExecPolicy::Parallel { workers: 1 });
         assert_eq!(ExecPolicy::parse(""), Some(ExecPolicy::Unbounded));
-        assert_eq!(ExecPolicy::parse("seq"), Some(ExecPolicy::Sequential));
-        assert_eq!(
-            ExecPolicy::parse("sequential"),
-            Some(ExecPolicy::Sequential)
-        );
-        assert_eq!(ExecPolicy::parse("0"), Some(ExecPolicy::Sequential));
-        assert_eq!(ExecPolicy::parse("1"), Some(ExecPolicy::Sequential));
+        for v in ["seq", "sequential", "0", "1"] {
+            assert_eq!(ExecPolicy::parse(v), seq, "{v:?} is width 1");
+        }
         assert_eq!(
             ExecPolicy::parse(" 8 "),
             Some(ExecPolicy::Parallel { workers: 8 })
@@ -232,80 +109,12 @@ mod tests {
 
     #[test]
     fn policy_reports_workers_and_labels() {
-        assert_eq!(ExecPolicy::Sequential.workers(), Some(1));
+        let seq = ExecPolicy::Parallel { workers: 1 };
+        assert_eq!(seq.workers(), Some(1));
         assert_eq!(ExecPolicy::Parallel { workers: 4 }.workers(), Some(4));
         assert_eq!(ExecPolicy::Unbounded.workers(), None);
-        assert_eq!(ExecPolicy::Sequential.label(), "seq");
+        assert_eq!(seq.label(), "seq");
         assert_eq!(ExecPolicy::Parallel { workers: 4 }.label(), "w4");
         assert_eq!(ExecPolicy::Unbounded.label(), "unbounded");
-    }
-
-    #[test]
-    fn scheduler_never_exceeds_worker_count() {
-        let nranks = 12;
-        for workers in [1usize, 3] {
-            let sched = Arc::new(Scheduler::new(workers, nranks));
-            let running = Arc::new(AtomicUsize::new(0));
-            let peak = Arc::new(AtomicUsize::new(0));
-            std::thread::scope(|scope| {
-                for rank in 0..nranks {
-                    let sched = Arc::clone(&sched);
-                    let running = Arc::clone(&running);
-                    let peak = Arc::clone(&peak);
-                    scope.spawn(move || {
-                        for round in 0..16 {
-                            sched.acquire(rank, round as f64 + rank as f64 / 100.0);
-                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                            peak.fetch_max(now, Ordering::SeqCst);
-                            std::thread::yield_now();
-                            running.fetch_sub(1, Ordering::SeqCst);
-                            sched.release(rank);
-                        }
-                    });
-                }
-            });
-            assert!(
-                peak.load(Ordering::SeqCst) <= workers,
-                "peak concurrency {} exceeded {workers} workers",
-                peak.load(Ordering::SeqCst)
-            );
-        }
-    }
-
-    #[test]
-    fn sequential_admission_is_lowest_clock_first() {
-        // With one slot and all ranks pre-registered, admission order is
-        // by (clock, rank). Rank clocks here force reverse-of-id order.
-        let nranks = 6;
-        let sched = Arc::new(Scheduler::new(1, nranks));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        // Hold the slot so every rank queues before any admission.
-        sched.acquire(0, -1.0);
-        std::thread::scope(|scope| {
-            for rank in 1..nranks {
-                let sched = Arc::clone(&sched);
-                let order = Arc::clone(&order);
-                scope.spawn(move || {
-                    sched.acquire(rank, (nranks - rank) as f64);
-                    order.lock().unwrap().push(rank);
-                    sched.release(rank);
-                });
-            }
-            // Give every worker time to register as Waiting.
-            while sched
-                .state
-                .lock()
-                .unwrap()
-                .ranks
-                .iter()
-                .filter(|s| matches!(s, RankState::Waiting(_)))
-                .count()
-                < nranks - 1
-            {
-                std::thread::yield_now();
-            }
-            sched.release(0);
-        });
-        assert_eq!(*order.lock().unwrap(), vec![5, 4, 3, 2, 1]);
     }
 }

@@ -25,9 +25,10 @@
 //!   deterministic: a rank's clock depends only on its own event sequence
 //!   and on the send timestamps of messages it receives;
 //! * [`exec`] — the deterministic rank executor: an [`ExecPolicy`] maps
-//!   ranks onto host worker threads (sequential / bounded pool /
-//!   unbounded, `MB_PARALLEL`), with a conservative lowest-virtual-clock
-//!   slot scheduler; every policy yields bit-identical outcomes;
+//!   ranks onto host worker threads (bounded pool of `N` slots, width 1
+//!   included, or unbounded; `MB_PARALLEL`), all served by the
+//!   event-driven [`event`] core; every policy yields bit-identical
+//!   outcomes;
 //! * [`machine`] — the cluster runtime: run an SPMD closure over all
 //!   ranks, gather results, per-rank statistics and the makespan;
 //!   [`machine::Cluster::run_traced`] additionally captures a span trace

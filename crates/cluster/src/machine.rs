@@ -7,9 +7,10 @@
 //! (`mb_telemetry::chrome::export`) — one track per rank.
 //!
 //! How ranks map onto host threads is an [`ExecPolicy`]
-//! ([`Cluster::with_exec`], default `MB_PARALLEL`): sequential, bounded
-//! worker pool, or one thread per rank. Every policy produces the same
-//! [`SpmdOutcome`] bit for bit — see [`crate::exec`].
+//! ([`Cluster::with_exec`], default `MB_PARALLEL`): a bounded worker
+//! pool (width 1 runs one rank at a time) or one slot per rank. Every
+//! policy produces the same [`SpmdOutcome`] bit for bit — see
+//! [`crate::exec`].
 
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use std::sync::mpsc::channel;
 
 use crate::comm::{Comm, CommStats, Msg};
 use crate::event::{EventCore, ExecutorReport, PairBound};
-use crate::exec::{Admission, ExecPolicy, Scheduler};
+use crate::exec::ExecPolicy;
 use crate::network::NetworkModel;
 use crate::spec::ClusterSpec;
 use crate::topology::Topology;
@@ -27,8 +28,7 @@ use crate::topology::Topology;
 /// Topology-aware per-pair lookahead bounds for the event core: the
 /// zero-byte delivery delay between two ranks' *nodes*. On the star this
 /// equals the global minimum for every pair, so it is only attached for
-/// hierarchical topologies (and never when `MB_LOOKAHEAD` pins an
-/// explicit scalar).
+/// hierarchical topologies.
 struct TopoBounds {
     net: NetworkModel,
     nodes: Arc<Vec<usize>>,
@@ -49,8 +49,7 @@ pub struct SpmdOutcome<R> {
     pub clocks: Vec<f64>,
     /// Per-rank communication/computation statistics.
     pub stats: Vec<CommStats>,
-    /// Executor-core counters for the run (empty/default under the
-    /// legacy sequential reference engine). Wall-clock-side observability
+    /// Executor-core counters for the run. Wall-clock-side observability
     /// only: never part of outcome fingerprints, which cover `results`,
     /// `clocks` and `stats` — the simulated quantities.
     pub exec_report: ExecutorReport,
@@ -257,6 +256,28 @@ impl Cluster {
             );
         }
         let mflops = self.spec.node.cpu.sustained_mflops;
+
+        // One engine for every policy: the event-driven core, with
+        // `Unbounded` as the workers == nranks special case. The
+        // network's global minimum delivery delay is the scalar horizon,
+        // upgraded to topology-aware per-pair bounds whenever the
+        // topology actually differentiates pairs (on the star every pair
+        // bound equals the global minimum, so attaching them would only
+        // add a virtual call per dispatch).
+        let workers = self.exec.workers().unwrap_or(n);
+        let mut core =
+            EventCore::new(workers, n, net.min_delivery_delay()).with_profiling(self.prof);
+        if topology != Topology::Star {
+            core = core.with_pair_bounds(Arc::new(TopoBounds {
+                net,
+                nodes: Arc::clone(&nodes),
+            }));
+        }
+        if let Some(log) = &self.event_log {
+            core = core.with_event_log(Arc::clone(log));
+        }
+        let core = Arc::new(core);
+
         // One inbox per rank; every rank holds a sender clone to each inbox.
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
@@ -268,76 +289,37 @@ impl Cluster {
         let mut comms: Vec<Comm> = rxs
             .into_iter()
             .enumerate()
-            .map(|(rank, rx)| Comm::new(rank, n, mflops, net, Arc::clone(&nodes), txs.clone(), rx))
+            .map(|(rank, rx)| {
+                Comm::new(
+                    rank,
+                    mflops,
+                    net,
+                    Arc::clone(&nodes),
+                    txs.clone(),
+                    rx,
+                    Arc::clone(&core),
+                )
+            })
             .collect();
         // Drop the original senders so channels close when ranks finish.
         drop(txs);
 
-        // Engine selection: the sequential reference policy keeps the
-        // legacy conservative scheduler (the baseline benchmarks compare
-        // against); every parallel policy runs on the event-driven core,
-        // with `Unbounded` as the workers == nranks special case so even
-        // free-running jobs get lookahead skew bounding and executor
-        // telemetry. Results are bit-identical either way (test-enforced).
-        // An explicit MB_LOOKAHEAD pins the scalar horizon the operator
-        // asked for; otherwise the network's global minimum is the
-        // scalar, upgraded to topology-aware per-pair bounds whenever
-        // the topology actually differentiates pairs (on the star every
-        // pair bound equals the global minimum, so attaching them would
-        // only add a virtual call per dispatch).
-        let env_lookahead = EventCore::lookahead_env_override();
-        let lookahead = env_lookahead.unwrap_or_else(|| net.min_delivery_delay());
-        let pair_bounds = (env_lookahead.is_none() && topology != Topology::Star).then(|| {
-            Arc::new(TopoBounds {
-                net,
-                nodes: Arc::clone(&nodes),
-            })
-        });
-        let build_core = |workers: usize| {
-            let mut c = EventCore::new(workers, n, lookahead).with_profiling(self.prof);
-            if let Some(pb) = &pair_bounds {
-                c = c.with_pair_bounds(Arc::clone(pb) as Arc<dyn PairBound>);
-            }
-            if let Some(log) = &self.event_log {
-                c = c.with_event_log(Arc::clone(log));
-            }
-            Arc::new(c)
-        };
-        let mut core: Option<Arc<EventCore>> = None;
-        let sched: Option<Arc<dyn Admission>> = match self.exec {
-            ExecPolicy::Sequential => Some(Arc::new(Scheduler::new(1, n))),
-            ExecPolicy::Parallel { workers } => {
-                let c = build_core(workers);
-                core = Some(Arc::clone(&c));
-                Some(c)
-            }
-            ExecPolicy::Unbounded => {
-                let c = build_core(n);
-                core = Some(Arc::clone(&c));
-                Some(c)
-            }
-        };
         let f = &f;
         type RankOut<R> = (R, f64, CommStats, Vec<mb_telemetry::trace::SpanEvent>);
         let mut results: Vec<Option<RankOut<R>>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (rank, mut comm) in comms.drain(..).enumerate() {
-                let sched = sched.clone();
+                let core = Arc::clone(&core);
                 handles.push((
                     rank,
                     scope.spawn(move || {
                         if traced {
                             comm.attach_sink(Box::new(MemorySink::new()));
                         }
-                        if let Some(sched) = &sched {
-                            comm.attach_scheduler(Arc::clone(sched));
-                            sched.acquire(rank, 0.0);
-                        }
+                        core.acquire(rank, 0.0);
                         let r = f(&mut comm);
-                        if let Some(sched) = &sched {
-                            sched.release(rank);
-                        }
+                        core.release(rank);
                         let spans = comm
                             .detach_sink()
                             .map(|mut s| s.drain())
@@ -367,7 +349,7 @@ impl Cluster {
                 results: vals,
                 clocks,
                 stats,
-                exec_report: core.map(|c| c.report()).unwrap_or_default(),
+                exec_report: core.report(),
             },
             RunTrace { ranks },
         )
@@ -577,7 +559,7 @@ mod tests {
         for n in [1usize, 4, 8, 24] {
             let reference = small_cluster(n).with_exec(ExecPolicy::Unbounded).run(job);
             for policy in [
-                ExecPolicy::Sequential,
+                ExecPolicy::Parallel { workers: 1 },
                 ExecPolicy::Parallel { workers: 2 },
                 ExecPolicy::Parallel { workers: 8 },
             ] {
@@ -608,7 +590,7 @@ mod tests {
         for topo in [Topology::fat_tree(4, 2, 4.0), Topology::torus([4, 4, 1])] {
             let spec = metablade().with_nodes(16).with_topology(topo);
             let reference = Cluster::new(spec.clone())
-                .with_exec(ExecPolicy::Sequential)
+                .with_exec(ExecPolicy::Parallel { workers: 1 })
                 .run(job);
             for policy in [
                 ExecPolicy::Parallel { workers: 2 },
@@ -696,7 +678,9 @@ mod tests {
             comm.barrier();
             s[0]
         };
-        let plain = small_cluster(8).with_exec(ExecPolicy::Sequential).run(job);
+        let plain = small_cluster(8)
+            .with_exec(ExecPolicy::Parallel { workers: 1 })
+            .run(job);
         let (traced, trace) = small_cluster(8)
             .with_exec(ExecPolicy::Parallel { workers: 3 })
             .run_traced(job);

@@ -310,7 +310,7 @@ mod tests {
             }
             comm.now()
         };
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 1 });
         let compact = cluster.run_on(&NodeSet::new(vec![0, 1, 2, 3]), job);
         let spread = cluster.run_on(&NodeSet::new(vec![0, 4, 8, 12]), job);
         assert!(
@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn run_on_subset_matches_equal_sized_cluster() {
-        let cluster = Cluster::new(metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(metablade()).with_exec(ExecPolicy::Parallel { workers: 1 });
         let job = |comm: &mut Comm| {
             comm.compute(1e6 * (comm.rank() + 1) as f64);
             let s = comm.allreduce_sum(&[comm.rank() as f64]);
@@ -333,7 +333,7 @@ mod tests {
         // exactly like a fresh 4-node MetaBlade.
         let subset = cluster.run_on(&NodeSet::new(vec![22, 3, 17, 11]), job);
         let reference = Cluster::new(metablade().with_nodes(4))
-            .with_exec(ExecPolicy::Sequential)
+            .with_exec(ExecPolicy::Parallel { workers: 1 })
             .run(job);
         assert_eq!(subset.results, reference.results);
         assert_eq!(subset.clocks, reference.clocks);
@@ -356,7 +356,10 @@ mod tests {
         let reference = Cluster::new(metablade())
             .with_exec(ExecPolicy::Unbounded)
             .run_on(&nodes, job);
-        for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { workers: 2 }] {
+        for policy in [
+            ExecPolicy::Parallel { workers: 1 },
+            ExecPolicy::Parallel { workers: 2 },
+        ] {
             let out = Cluster::new(metablade())
                 .with_exec(policy)
                 .run_on(&nodes, job);

@@ -24,21 +24,10 @@ use mb_sched::{
     generate, simulate, workload, EasyBackfill, FailureConfig, Fcfs, JobSpec, Placement,
     SchedConfig, SchedPolicy, ServiceModel, SimReport, Sjf, WorkModel, WorkloadConfig,
 };
-use mb_telemetry::artifact::{artifact_dir, artifact_stem, write_artifact};
+use mb_telemetry::artifact::{
+    artifact_dir, artifact_stem, host_threads, unix_time_s, write_artifact,
+};
 use mb_telemetry::Json;
-
-fn unix_time_s() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
-fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 fn policies() -> [&'static dyn SchedPolicy; 3] {
     [&Fcfs, &EasyBackfill, &Sjf]
@@ -402,7 +391,7 @@ the same TCO, then contrast placement policies on an oversubscribed
 fat tree: `lowest` (first-fit) and `compact` (pod-packing) against
 `contention` (contention-aware), each with and without ECMP route
 spreading (route_spread). The executor for the full run comes from
-MB_PARALLEL (with Sequential re-run as the determinism reference).
+MB_PARALLEL (with width 1 re-run as the determinism reference).
 Documents land in the artifact directory ($MB_TELEMETRY_DIR, default
 ./traces) together with per-node occupancy and per-link hot-spot
 Chrome traces.";
@@ -439,7 +428,7 @@ fn main() {
             &wl,
             &cfg,
             &[
-                ExecPolicy::Sequential,
+                ExecPolicy::Parallel { workers: 1 },
                 ExecPolicy::Parallel { workers: 4 },
                 ExecPolicy::Unbounded,
             ],
@@ -453,11 +442,12 @@ fn main() {
             ..SchedConfig::default()
         };
         // Environment-selected executor first (what the user asked
-        // for), Sequential as the determinism reference.
+        // for), width 1 as the determinism reference.
         let env_exec = ExecPolicy::from_env();
+        let seq = ExecPolicy::Parallel { workers: 1 };
         let mut execs = vec![env_exec];
-        if env_exec != ExecPolicy::Sequential {
-            execs.push(ExecPolicy::Sequential);
+        if env_exec != seq {
+            execs.push(seq);
         }
         run(&wl, &cfg, &execs, false);
     }

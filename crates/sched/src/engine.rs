@@ -1115,7 +1115,8 @@ mod tests {
 
     #[test]
     fn all_jobs_complete_with_sane_timelines() {
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade())
+            .with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let jobs = small_workload();
         for policy in [&Fcfs as &dyn SchedPolicy, &EasyBackfill, &Sjf] {
@@ -1146,7 +1147,8 @@ mod tests {
 
     #[test]
     fn wait_and_slowdown_histograms_cover_every_job() {
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade())
+            .with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let jobs = small_workload();
         let rep = simulate(&service, &Fcfs, &jobs, &SchedConfig::default());
@@ -1175,7 +1177,7 @@ mod tests {
             failure: Some(FailureConfig::accelerated(2000.0, 3)),
             ..SchedConfig::default()
         };
-        let prints: Vec<u64> = [ExecPolicy::Sequential, ExecPolicy::Unbounded]
+        let prints: Vec<u64> = [ExecPolicy::Parallel { workers: 1 }, ExecPolicy::Unbounded]
             .into_iter()
             .map(|exec| {
                 let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(exec);
@@ -1188,7 +1190,8 @@ mod tests {
 
     #[test]
     fn failures_requeue_and_charge_lost_work() {
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade())
+            .with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let jobs = small_workload();
         let cfg = SchedConfig {
@@ -1214,7 +1217,8 @@ mod tests {
 
     #[test]
     fn no_failure_config_means_no_checkpoint_overhead() {
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade())
+            .with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let work = WorkModel::Npb {
             kernel: crate::job::NpbKernel::Ep,
@@ -1234,7 +1238,8 @@ mod tests {
 
     #[test]
     fn service_model_memoizes_by_pattern_and_width() {
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade())
+            .with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let short = WorkModel::Treecode {
             bodies_per_rank: 1200,
@@ -1256,7 +1261,8 @@ mod tests {
             bodies_per_rank: 1200,
             steps: 10,
         };
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade())
+            .with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let low = NodeSet::new(vec![0, 1, 2, 3]);
         let high = NodeSet::new(vec![20, 21, 22, 23]);
@@ -1294,7 +1300,7 @@ mod tests {
         let spec = mb_cluster::spec::metablade()
             .with_nodes(16)
             .with_topology(Topology::fat_tree(4, 2, 4.0));
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let compact = service.step_on(&work, &NodeSet::new(vec![0, 1, 2, 3]));
         let spread = service.step_on(&work, &NodeSet::new(vec![0, 4, 8, 12]));
@@ -1321,7 +1327,7 @@ mod tests {
         let spec = mb_cluster::spec::metablade()
             .with_nodes(16)
             .with_topology(Topology::fat_tree(4, 2, 4.0));
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         // Two 6-rank rings land on nodes 0–5 and 6–11 under `Lowest`:
         // both route flows through edge group 1's uplink.
@@ -1369,7 +1375,7 @@ mod tests {
         let spec = mb_cluster::spec::metablade()
             .with_nodes(16)
             .with_topology(Topology::fat_tree(4, 2, 4.0));
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let jobs = [JobSpec {
             id: 0,
@@ -1383,7 +1389,8 @@ mod tests {
         // Fat-tree runs still integrate per-link bytes for telemetry.
         assert!(rep.link_bytes.keys().any(|l| l.starts_with("up:")));
         // The star fast path records no traffic at all.
-        let star = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let star = Cluster::new(mb_cluster::spec::metablade())
+            .with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&star);
         let rep = simulate(&service, &Fcfs, &small_workload(), &SchedConfig::default());
         assert_eq!(rep.max_contention_factor, 1.0);
@@ -1428,7 +1435,7 @@ mod tests {
             },
         ];
         let run = |placement: Placement| {
-            let cluster = Cluster::new(spec.clone()).with_exec(ExecPolicy::Sequential);
+            let cluster = Cluster::new(spec.clone()).with_exec(ExecPolicy::Parallel { workers: 1 });
             let service = ServiceModel::new(&cluster);
             let cfg = SchedConfig {
                 placement,
@@ -1481,7 +1488,7 @@ mod tests {
             },
         ];
         let run = |route_spread: bool| {
-            let cluster = Cluster::new(spec.clone()).with_exec(ExecPolicy::Sequential);
+            let cluster = Cluster::new(spec.clone()).with_exec(ExecPolicy::Parallel { workers: 1 });
             let service = ServiceModel::new(&cluster);
             let cfg = SchedConfig {
                 route_spread,
@@ -1519,7 +1526,7 @@ mod tests {
         };
         // The determinism contract survives the new allocator: the
         // fingerprint is bit-identical under every executor policy.
-        let prints: Vec<u64> = [ExecPolicy::Sequential, ExecPolicy::Unbounded]
+        let prints: Vec<u64> = [ExecPolicy::Parallel { workers: 1 }, ExecPolicy::Unbounded]
             .into_iter()
             .map(|exec| {
                 let cluster = Cluster::new(spec.clone()).with_exec(exec);
@@ -1530,7 +1537,7 @@ mod tests {
         assert_eq!(prints[0], prints[1]);
         // And compared against lowest-first on the same oversubscribed
         // fat-tree, packing under edge switches never lengthens the run.
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let compact = simulate(&service, &EasyBackfill, &jobs, &cfg);
         let lowest = simulate(&service, &EasyBackfill, &jobs, &SchedConfig::default());

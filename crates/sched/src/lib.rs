@@ -38,7 +38,8 @@
 //! use mb_cluster::{Cluster, ExecPolicy};
 //! use mb_sched::{generate, simulate, EasyBackfill, SchedConfig, ServiceModel, WorkloadConfig};
 //!
-//! let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+//! let cluster =
+//!     Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Parallel { workers: 1 });
 //! let service = ServiceModel::new(&cluster);
 //! let jobs = generate(&WorkloadConfig {
 //!     jobs: 8,

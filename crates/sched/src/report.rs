@@ -242,7 +242,8 @@ mod tests {
         use crate::workload::{generate, WorkloadConfig};
         use mb_cluster::{Cluster, ExecPolicy};
 
-        let cluster = Cluster::new(mb_cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(mb_cluster::spec::metablade())
+            .with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let jobs = generate(&WorkloadConfig {
             jobs: 6,
@@ -286,7 +287,7 @@ mod tests {
         let spec = mb_cluster::spec::metablade()
             .with_nodes(16)
             .with_topology(Topology::fat_tree(4, 2, 4.0));
-        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Sequential);
+        let cluster = Cluster::new(spec).with_exec(ExecPolicy::Parallel { workers: 1 });
         let service = ServiceModel::new(&cluster);
         let mk = |id: usize| JobSpec {
             id,

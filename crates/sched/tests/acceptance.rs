@@ -20,7 +20,7 @@ fn standard_workload_is_deterministic_and_easy_beats_fcfs() {
     };
     let policies: [&dyn SchedPolicy; 3] = [&Fcfs, &EasyBackfill, &Sjf];
     let execs = [
-        ExecPolicy::Sequential,
+        ExecPolicy::Parallel { workers: 1 },
         ExecPolicy::Parallel { workers: 3 },
         ExecPolicy::Unbounded,
     ];

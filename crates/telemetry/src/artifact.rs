@@ -35,16 +35,30 @@ pub fn write_artifact(dir: &Path, name: &str, contents: &str) -> std::io::Result
     Ok(path)
 }
 
+/// Seconds since the Unix epoch (0 if the clock reads before it): the
+/// timestamp stamped into run ids and benchmark documents.
+pub fn unix_time_s() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0)
+}
+
+/// Host hardware threads available to this process (1 if unknown): the
+/// wall-clock context recorded next to every host-time measurement.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// A process-unique run identifier: `{unix_secs}-{pid}-{seq}`.
 ///
 /// Monotonic within a process (the trailing sequence number) and unique
 /// across processes on one host (the pid), so filenames built from it
 /// never collide even when runs start in the same second.
 pub fn run_id() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
+    let secs = unix_time_s();
     let pid = std::process::id();
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     format!("{secs}-{pid}-{seq}")

@@ -1,9 +1,9 @@
 //! Executor-policy determinism regression: the 24-rank treecode step
-//! must produce bit-identical results under the sequential reference
-//! engine and bounded parallel pools (2 and 8 workers). Guards the
-//! conservative-scheduler invariant end to end (DESIGN.md §9): the
-//! [`mb_cluster::ExecPolicy`] may only change host wall-clock, never
-//! makespan, particle state, or communication statistics.
+//! must produce bit-identical results at executor widths 1, 2 and 8,
+//! and match a golden pin. Guards the determinism invariant end to end
+//! (DESIGN.md §9): the [`mb_cluster::ExecPolicy`] may only change host
+//! wall-clock, never makespan, particle state, or communication
+//! statistics.
 
 use mb_cluster::machine::Cluster;
 use mb_cluster::spec::metablade;
@@ -78,7 +78,7 @@ fn treecode_step_is_bit_identical_across_executor_policies() {
     let spec = metablade(); // the paper's 24-node machine
 
     let reference = distributed_step(
-        &Cluster::new(spec.clone()).with_exec(ExecPolicy::Sequential),
+        &Cluster::new(spec.clone()).with_exec(ExecPolicy::Parallel { workers: 1 }),
         &bodies,
         &cfg,
     );

@@ -23,7 +23,7 @@ use mb_sched::{
     generate, simulate, simulate_stream, AdmitAll, Fcfs, JobSpec, SchedConfig, ServiceOracle,
     StreamReport, VecArrivals, WorkloadConfig,
 };
-use mb_telemetry::artifact::{artifact_dir, write_artifact};
+use mb_telemetry::artifact::{artifact_dir, host_threads, unix_time_s, write_artifact};
 use mb_telemetry::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,14 +53,8 @@ under MB_PARALLEL executor widths 1/4/8. Documents land in the
 artifact directory ($MB_TELEMETRY_DIR, default ./traces) together
 with per-class wait/slowdown histogram artifacts.";
 
-fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 const EXECS: [ExecPolicy; 3] = [
-    ExecPolicy::Sequential,
+    ExecPolicy::Parallel { workers: 1 },
     ExecPolicy::Parallel { workers: 4 },
     ExecPolicy::Parallel { workers: 8 },
 ];
@@ -461,13 +455,6 @@ fn run_all(smoke: bool) {
          stream fingerprints bit-identical across executor calibrations",
         if smoke { "smoke" } else { "full run" }
     );
-}
-
-fn unix_time_s() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 /// Entry point shared by `crates/workload/src/bin/stream_sim.rs` and

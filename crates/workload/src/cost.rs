@@ -223,9 +223,9 @@ impl CostModel {
         report
     }
 
-    /// [`CostModel::calibrate`] under the sequential reference executor.
+    /// [`CostModel::calibrate`] at executor width 1.
     pub fn calibrate_default(&mut self, patterns: &[WorkModel]) -> CalibrationReport {
-        self.calibrate(patterns, ExecPolicy::Sequential)
+        self.calibrate(patterns, ExecPolicy::Parallel { workers: 1 })
     }
 
     /// FNV-1a digest of the fitted coefficient table (keys in sorted

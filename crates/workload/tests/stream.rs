@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const EXECS: [ExecPolicy; 3] = [
-    ExecPolicy::Sequential,
+    ExecPolicy::Parallel { workers: 1 },
     ExecPolicy::Parallel { workers: 4 },
     ExecPolicy::Parallel { workers: 8 },
 ];
@@ -53,8 +53,8 @@ fn calibration_is_bit_identical_across_executor_policies() {
             cost.coefficient_fingerprint()
         })
         .collect();
-    assert_eq!(fps[0], fps[1], "Sequential vs Parallel{{4}}");
-    assert_eq!(fps[0], fps[2], "Sequential vs Parallel{{8}}");
+    assert_eq!(fps[0], fps[1], "seq vs w4");
+    assert_eq!(fps[0], fps[2], "seq vs w8");
 }
 
 #[test]

@@ -29,10 +29,10 @@ fn main() {
         jobs.iter().map(|j| j.ranks).max().unwrap(),
     );
 
-    // 2. The machine: the 24-node MetaBlade, sequential executor (any
+    // 2. The machine: the 24-node MetaBlade, width-1 executor (any
     //    ExecPolicy gives bit-identical results — that's the contract).
-    let cluster =
-        Cluster::new(metablade::cluster::spec::metablade()).with_exec(ExecPolicy::Sequential);
+    let cluster = Cluster::new(metablade::cluster::spec::metablade())
+        .with_exec(ExecPolicy::Parallel { workers: 1 });
     let service = ServiceModel::new(&cluster);
 
     // 3. Replay the same stream under two policies. No failure

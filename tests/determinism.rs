@@ -1,13 +1,12 @@
-//! Executor-engine determinism at scale: the regression gate for the
+//! Executor determinism at scale: the regression gate for the
 //! event-driven core.
 //!
-//! The legacy conservative scheduler (sequential reference engine) and
-//! the event-driven core (bounded pools and unbounded; see
-//! `mb_cluster::event`) must produce bit-identical simulated outcomes —
+//! Every executor width (one slot, bounded pools and unbounded; see
+//! `mb_cluster::event`) must reproduce golden simulated outcomes —
 //! makespan, per-rank clocks, and every `CommStats` counter and
 //! virtual-time accumulator — at 256 ranks, where lookahead grants,
 //! horizon deferrals and heap admission orderings all genuinely differ
-//! between engines. Also asserts that observability (span tracing and
+//! between widths. Also asserts that observability (span tracing and
 //! executor telemetry) never perturbs virtual time.
 
 use metablade::bench::baseline::{allreduce_job, fingerprint_outcome, rounds_for};
@@ -86,87 +85,52 @@ const FAT_TREE_256_PIN: (&str, u64) = ("38795f1c1d2f33d6", 0x3fa2_c6a9_a33f_96f6
 fn outcome_is_bit_identical_across_engines_at_256_ranks() {
     let spec = metablade_spec().with_nodes(256);
     let policies = [
-        ExecPolicy::Sequential,
+        ExecPolicy::Parallel { workers: 1 },
         ExecPolicy::Parallel { workers: 8 },
         ExecPolicy::Unbounded,
     ];
-    let mut prints = Vec::new();
-    let mut makespans = Vec::new();
     for policy in policies {
         let out = Cluster::new(spec.clone()).with_exec(policy).run(job_256);
-        prints.push((
+        // The event core really ran: every rank was admitted at least
+        // once per blocking receive.
+        assert!(
+            out.exec_report.admissions >= 256,
+            "{}: {:?}",
             policy.label(),
-            outcome_fingerprint(&out.results, &out.clocks, &out.stats),
-        ));
-        makespans.push(out.makespan_s().to_bits());
-        if policy != ExecPolicy::Sequential {
-            // The event core really ran: every rank was admitted at
-            // least once per blocking receive.
-            assert!(
-                out.exec_report.admissions >= 256,
-                "{}: {:?}",
-                policy.label(),
-                out.exec_report
-            );
-        }
-    }
-    let (ref_label, ref_print) = prints[0].clone();
-    for (label, print) in &prints[1..] {
-        assert_eq!(
-            *print, ref_print,
-            "{label} diverged from {ref_label} at 256 ranks"
+            out.exec_report
         );
-    }
-    assert!(
-        makespans.windows(2).all(|w| w[0] == w[1]),
-        "makespan bits differ across engines"
-    );
-    for ((label, print), mk) in prints.iter().zip(&makespans) {
+        let print = outcome_fingerprint(&out.results, &out.clocks, &out.stats);
         assert_eq!(
-            (format!("{print:016x}").as_str(), *mk),
+            (format!("{print:016x}").as_str(), out.makespan_s().to_bits()),
             STAR_256_PIN,
-            "{label}: outcome drifted from the golden pin at 256 ranks"
+            "{}: outcome drifted from the golden pin at 256 ranks",
+            policy.label()
         );
     }
 }
 
 #[test]
 fn fat_tree_outcome_is_bit_identical_across_engine_widths_at_256_ranks() {
-    // The PR-8 acceptance gate: a 256-rank job on a two-tier
-    // oversubscribed fat-tree — where per-pair lookahead bounds, not the
-    // global minimum, drive admission — still produces bit-identical
-    // outcomes at every `MB_PARALLEL` width.
+    // A 256-rank job on a two-tier oversubscribed fat-tree — where
+    // per-pair lookahead bounds, not the global minimum, drive
+    // admission — still produces bit-identical outcomes at every
+    // `MB_PARALLEL` width.
     let spec = metablade_spec()
         .with_nodes(256)
         .with_topology(Topology::fat_tree(16, 2, 4.0));
     let policies = [
-        ExecPolicy::Sequential,
         ExecPolicy::Parallel { workers: 1 },
         ExecPolicy::Parallel { workers: 4 },
         ExecPolicy::Parallel { workers: 8 },
     ];
-    let mut prints = Vec::new();
     for policy in policies {
         let out = Cluster::new(spec.clone()).with_exec(policy).run(job_256);
-        prints.push((
-            policy.label(),
-            outcome_fingerprint(&out.results, &out.clocks, &out.stats),
-            out.makespan_s().to_bits(),
-        ));
-    }
-    let (ref_label, ref_print, ref_mk) = prints[0].clone();
-    for (label, print, mk) in &prints[1..] {
+        let print = outcome_fingerprint(&out.results, &out.clocks, &out.stats);
         assert_eq!(
-            *print, ref_print,
-            "{label} diverged from {ref_label} on the fat-tree at 256 ranks"
-        );
-        assert_eq!(*mk, ref_mk, "{label}: makespan bits moved");
-    }
-    for (label, print, mk) in &prints {
-        assert_eq!(
-            (format!("{print:016x}").as_str(), *mk),
+            (format!("{print:016x}").as_str(), out.makespan_s().to_bits()),
             FAT_TREE_256_PIN,
-            "{label}: fat-tree outcome drifted from the golden pin"
+            "{}: fat-tree outcome drifted from the golden pin",
+            policy.label()
         );
     }
 }
@@ -175,14 +139,14 @@ fn fat_tree_outcome_is_bit_identical_across_engine_widths_at_256_ranks() {
 fn fat_tree_contention_slows_collectives_versus_the_star_at_128_ranks() {
     let rounds = rounds_for(64, 128);
     let star = Cluster::new(metablade_spec().with_nodes(128))
-        .with_exec(ExecPolicy::Sequential)
+        .with_exec(ExecPolicy::Parallel { workers: 1 })
         .run(allreduce_job(rounds));
     let ft = Cluster::new(
         metablade_spec()
             .with_nodes(128)
             .with_topology(Topology::fat_tree(16, 2, 4.0)),
     )
-    .with_exec(ExecPolicy::Sequential)
+    .with_exec(ExecPolicy::Parallel { workers: 1 })
     .run(allreduce_job(rounds));
     assert!(
         ft.makespan_s() > star.makespan_s() * 1.05,
@@ -287,7 +251,6 @@ fn shared_uplink_contention_is_bit_identical_across_executor_widths() {
     // *every* placement — the contention path is live, not incidental.
     let jobs = [comm_heavy(0, 6), comm_heavy(1, 6), comm_heavy(2, 4)];
     let widths = [
-        ExecPolicy::Sequential,
         ExecPolicy::Parallel { workers: 1 },
         ExecPolicy::Parallel { workers: 4 },
         ExecPolicy::Parallel { workers: 8 },
@@ -310,7 +273,7 @@ fn shared_uplink_contention_is_bit_identical_across_executor_widths() {
             assert_eq!(
                 r.fingerprint,
                 reports[0].fingerprint,
-                "{} at width {} diverged from the sequential reference",
+                "{} at width {} diverged from width 1",
                 placement.label(),
                 w.label()
             );
@@ -359,7 +322,13 @@ fn star_and_single_job_runs_reproduce_pre_contention_fingerprints() {
     for (cfg, pinned) in [(&nofail, &pinned_nofail), (&fail, &pinned_fail)] {
         for ((policy, name), (pin_name, pin_fp)) in policies.iter().zip(pinned) {
             assert_eq!(name, pin_name);
-            let rep = sched_run(&star, ExecPolicy::Sequential, *policy, &stream, cfg);
+            let rep = sched_run(
+                &star,
+                ExecPolicy::Parallel { workers: 1 },
+                *policy,
+                &stream,
+                cfg,
+            );
             assert_eq!(
                 rep.fingerprint_hex(),
                 *pin_fp,
@@ -404,7 +373,7 @@ fn star_and_single_job_runs_reproduce_pre_contention_fingerprints() {
     for (spec, ranks, pin_fp) in cases {
         let rep = sched_run(
             &spec,
-            ExecPolicy::Sequential,
+            ExecPolicy::Parallel { workers: 1 },
             &Fcfs,
             &single(ranks),
             &SchedConfig::default(),
