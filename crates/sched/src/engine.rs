@@ -27,6 +27,7 @@ use mb_telemetry::{Fnv, Registry};
 
 use crate::job::{JobRecord, JobSpec, WorkModel};
 use crate::policy::{PolicyCtx, QueuedJob, RunningJob, SchedPolicy};
+use crate::queue::JobQueue;
 use crate::stream::{
     AdmissionControl, AdmissionCtx, ArrivalSource, ClassReport, StreamReport, VecArrivals,
 };
@@ -407,14 +408,15 @@ impl SimReport {
     }
 }
 
+/// The engine's payload for a queued job; its width and service
+/// estimate ride in the [`QueuedJob`] beside it.
 struct QueueEntry {
     ji: usize,
     id: usize,
-    ranks: usize,
     /// The job's work model (queue entries must be self-contained: a
     /// streamed run has no job slice to index back into).
     work: WorkModel,
-    /// SLO class (and queue priority rank; 0 = highest).
+    /// SLO class (0 = highest priority).
     class: usize,
     work_rem_s: f64,
     resumed: bool,
@@ -473,6 +475,70 @@ impl RunEntry {
     }
 }
 
+/// Node availability: which nodes are up, which of those are idle (the
+/// allocators' free mask), and both counts (what policies see). Every
+/// change goes through one method, so the counts never need a scan.
+struct NodePool {
+    up: Vec<bool>,
+    free: Vec<bool>,
+    n_up: usize,
+    n_free: usize,
+}
+
+impl NodePool {
+    fn new(n: usize) -> Self {
+        Self {
+            up: vec![true; n],
+            free: vec![true; n],
+            n_up: n,
+            n_free: n,
+        }
+    }
+
+    /// A failed node returns idle: its job was evicted when it failed.
+    fn repair(&mut self, nd: usize) {
+        debug_assert!(!self.up[nd] && !self.free[nd]);
+        self.up[nd] = true;
+        self.free[nd] = true;
+        self.n_up += 1;
+        self.n_free += 1;
+    }
+
+    /// Strike node `nd`; false when it is already down.
+    fn fail(&mut self, nd: usize) -> bool {
+        if !self.up[nd] {
+            return false;
+        }
+        self.up[nd] = false;
+        self.n_up -= 1;
+        if self.free[nd] {
+            self.free[nd] = false;
+            self.n_free -= 1;
+        }
+        true
+    }
+
+    /// Free a finished or evicted job's nodes; failed ones stay out.
+    fn release(&mut self, nodes: &[usize]) {
+        for &m in nodes {
+            if self.up[m] {
+                debug_assert!(!self.free[m]);
+                self.free[m] = true;
+                self.n_free += 1;
+            }
+        }
+    }
+
+    /// Hand idle nodes to a starting job.
+    fn claim(&mut self, nodes: &[usize]) {
+        for &m in nodes {
+            debug_assert!(self.free[m]);
+            self.free[m] = false;
+        }
+        self.n_free -= nodes.len();
+    }
+}
+
 /// Run `jobs` through `policy` on the service oracle's cluster.
 ///
 /// The event loop processes, at each virtual instant, repairs →
@@ -480,7 +546,7 @@ impl RunEntry {
 /// deterministically (completions by `(end, id)`, failures by sampled
 /// order). Failure-struck jobs lose uncheckpointed work per the
 /// Young/Daly accounting and are requeued at the head of the queue
-/// with their remaining work.
+/// with their remaining work, newest victim first.
 ///
 /// This is the closed-batch wrapper around [`simulate_stream`]: the job
 /// list replays through [`VecArrivals`] under the single-class
@@ -506,12 +572,21 @@ pub fn simulate<S: ServiceOracle + ?Sized>(
 /// Identical event-loop semantics to [`simulate`] (repairs →
 /// completions → failures → arrivals → dispatch per instant), except
 /// that jobs are pulled lazily from `source` in submit order and each
-/// is classified (or shed) by `admission`. Admitted jobs queue by
-/// class rank — class 0 ahead of class 1 — FIFO within a class;
-/// failure requeues keep their head-of-queue priority. The run ends
-/// when the source is drained and queue and running set are empty:
-/// failure events past that point are not applied, exactly as the
-/// batch engine never sampled failures past its last completion.
+/// is classified (or shed) by `admission`.
+///
+/// The queue is a [`JobQueue`]: a lane of failure requeues (newest
+/// first), then one FIFO lane per admission class in class order. Its
+/// order is the lanes joined in sequence, so a requeued victim of any
+/// class waits ahead of every arrival, and an arrival waits behind
+/// every job of its own and higher-priority classes. The policy reads
+/// that order through a borrowed [`crate::QueueView`] and its picks are
+/// indices into it; picks that are out of range, repeated or no longer
+/// fit are skipped.
+///
+/// The run ends when the source is drained and queue and running set
+/// are empty: failure events past that point are not applied, exactly
+/// as the batch engine never sampled failures past its last
+/// completion.
 pub fn simulate_stream<S: ServiceOracle + ?Sized>(
     service: &S,
     policy: &dyn SchedPolicy,
@@ -563,12 +638,15 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
     let mut records: Vec<JobRecord> = Vec::new();
     let mut rec_class: Vec<usize> = Vec::new();
 
-    let mut up = vec![true; n];
-    let mut busy = vec![false; n];
+    let mut pool = NodePool::new(n);
     let mut repairs: Vec<(f64, usize)> = Vec::new();
     let mut fail_idx = 0usize;
-    let mut queue: Vec<QueueEntry> = Vec::new();
+    let mut queue: JobQueue<QueueEntry> = JobQueue::new(nclass);
     let mut running: Vec<RunEntry> = Vec::new();
+    // Per-event scratch, reused across the loop.
+    let mut finished: Vec<RunEntry> = Vec::new();
+    let mut rview: Vec<RunningJob> = Vec::new();
+    let mut started: Vec<usize> = Vec::new();
     let mut busy_node_s = 0.0;
     let mut occupancy: Vec<OccSpan> = Vec::new();
     let mut failures_applied = 0u32;
@@ -661,22 +739,15 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         );
 
         // 1. Repairs: failed nodes come back up.
-        let mut back: Vec<usize> = Vec::new();
         repairs.retain(|&(t, nd)| {
-            if t <= now {
-                back.push(nd);
-                false
-            } else {
-                true
+            let due = t <= now;
+            if due {
+                pool.repair(nd);
             }
+            !due
         });
-        back.sort_unstable();
-        for nd in back {
-            up[nd] = true;
-        }
 
         // 2. Completions, ordered by (end, id).
-        let mut finished: Vec<RunEntry> = Vec::new();
         let mut i = 0;
         while i < running.len() {
             if running[i].end_s <= now {
@@ -686,12 +757,12 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
             }
         }
         finished.sort_by(|a, b| a.end_s.total_cmp(&b.end_s).then(a.id.cmp(&b.id)));
-        for mut run in finished {
+        for mut run in finished.drain(..) {
             let end = run.end_s;
             account_links(&mut link_bytes, &mut run, end);
             busy_node_s += (run.end_s - run.start_s) * run.nodes.len() as f64;
+            pool.release(run.nodes.ids());
             for &nd in run.nodes.ids() {
-                busy[nd] = false;
                 if !cfg.lean {
                     occupancy.push(OccSpan {
                         node: nd,
@@ -717,10 +788,9 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         while fail_idx < failure_events.len() && failure_events[fail_idx].0 <= now {
             let (_, nd) = failure_events[fail_idx];
             fail_idx += 1;
-            if !up[nd] {
+            if !pool.fail(nd) {
                 continue;
             }
-            up[nd] = false;
             failures_applied += 1;
             repairs.push((now + repair_s, nd));
             if let Some(pos) = running.iter().position(|r| r.nodes.contains(nd)) {
@@ -732,8 +802,8 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
                 // time suggests.
                 let (done, lost) = charge.progress(run.nominal_elapsed(now), run.pad_s, run.work_s);
                 busy_node_s += elapsed * run.nodes.len() as f64;
+                pool.release(run.nodes.ids());
                 for &m in run.nodes.ids() {
-                    busy[m] = false;
                     if !cfg.lean {
                         occupancy.push(OccSpan {
                             node: m,
@@ -751,19 +821,22 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
                 requeues += 1;
                 let cls = rec_class[run.ji];
                 queued_per_class[cls] += 1;
-                queue.insert(
-                    0,
+                // Queue entries carry *reference* work (lowest nodes);
+                // undo this attempt's placement factor. `pfac` is
+                // exactly 1.0 on the star, so the division is a
+                // bit-exact no-op there.
+                let work_rem_s = (run.work_s - done).max(0.0) / run.pfac;
+                queue.requeue(
+                    QueuedJob {
+                        ranks: run.nodes.len(),
+                        service_est_s: charge.wall_for(work_rem_s, true),
+                    },
                     QueueEntry {
                         ji: run.ji,
                         id: run.id,
-                        ranks: run.nodes.len(),
                         work: run.work,
                         class: cls,
-                        // Queue entries carry *reference* work (lowest
-                        // nodes); undo this attempt's placement factor.
-                        // `pfac` is exactly 1.0 on the star, so the
-                        // division is a bit-exact no-op there.
-                        work_rem_s: (run.work_s - done).max(0.0) / run.pfac,
+                        work_rem_s,
                         resumed: true,
                         attempt: run.attempt + 1,
                     },
@@ -795,6 +868,7 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
             let spec = arr.spec;
             let width = spec.ranks.clamp(1, n);
             let work_s = service.work_s(&spec.work, width);
+            let clean_service_s = charge.wall_for(work_s, false);
             let ji = records.len();
             records.push(JobRecord {
                 id: spec.id,
@@ -802,26 +876,20 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
                 submit_s: spec.submit_s,
                 start_s: -1.0,
                 end_s: -1.0,
-                clean_service_s: charge.wall_for(work_s, false),
+                clean_service_s,
                 restarts: 0,
                 lost_work_s: 0.0,
             });
             rec_class.push(cls);
-            // Class rank orders the queue (FIFO within a class): insert
-            // before the first strictly lower-priority entry. With one
-            // class this is exactly the old `push`, and a requeued
-            // failure victim at the head keeps its place against
-            // same-or-lower classes.
-            let pos = queue
-                .iter()
-                .position(|e| e.class > cls)
-                .unwrap_or(queue.len());
-            queue.insert(
-                pos,
+            queue.arrive(
+                cls,
+                QueuedJob {
+                    ranks: width,
+                    service_est_s: clean_service_s,
+                },
                 QueueEntry {
                     ji,
                     id: spec.id,
-                    ranks: width,
                     work: spec.work,
                     class: cls,
                     work_rem_s: work_s,
@@ -832,28 +900,17 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         }
 
         // 5. Dispatch: consult the policy, then re-validate each pick
-        // against the live free list (policies may be optimistic).
-        let free_count = (0..n).filter(|&k| up[k] && !busy[k]).count();
-        let total_up = up.iter().filter(|&&u| u).count();
-        let qview: Vec<QueuedJob> = queue
-            .iter()
-            .map(|q| QueuedJob {
-                ranks: q.ranks,
-                service_est_s: charge.wall_for(q.work_rem_s, q.resumed),
-            })
-            .collect();
-        let rview: Vec<RunningJob> = running
-            .iter()
-            .map(|r| RunningJob {
-                end_s: r.end_s,
-                ranks: r.nodes.len(),
-            })
-            .collect();
+        // against the live free mask (policies may be optimistic).
+        rview.clear();
+        rview.extend(running.iter().map(|r| RunningJob {
+            end_s: r.end_s,
+            ranks: r.nodes.len(),
+        }));
         let picks = policy.select(&PolicyCtx {
             now_s: now,
-            free_nodes: free_count,
-            total_nodes: total_up,
-            queue: &qview,
+            free_nodes: pool.n_free,
+            total_nodes: pool.n_up,
+            queue: queue.view(),
             running: &rview,
         });
         // Contention-aware placement scores candidate groups against
@@ -866,26 +923,27 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
         } else {
             Vec::new()
         };
-        let mut started: Vec<usize> = Vec::new();
-        let mut seen = vec![false; queue.len()];
+        // Every allocator fails exactly when fewer than `ranks` nodes are
+        // free, and the free set only shrinks within a round, so a pick
+        // that failed once fails again: only started picks need
+        // remembering to skip repeats.
+        started.clear();
         for p in picks {
-            if p >= queue.len() || seen[p] {
+            let Some((job, q)) = queue.get(p) else {
+                continue;
+            };
+            if job.ranks > pool.n_free || started.contains(&p) {
                 continue;
             }
-            seen[p] = true;
-            let q = &queue[p];
-            let free_mask: Vec<bool> = (0..n).map(|k| up[k] && !busy[k]).collect();
             let alloc = match cfg.placement {
-                Placement::Lowest => NodeSet::alloc_lowest(&free_mask, q.ranks),
-                Placement::Compact => NodeSet::alloc_compact(&free_mask, q.ranks, &topo),
+                Placement::Lowest => NodeSet::alloc_lowest(&pool.free, job.ranks),
+                Placement::Compact => NodeSet::alloc_compact(&pool.free, job.ranks, &topo),
                 Placement::ContentionAware => {
-                    NodeSet::alloc_contention_aware(&free_mask, q.ranks, &topo, &group_loads)
+                    NodeSet::alloc_contention_aware(&pool.free, job.ranks, &topo, &group_loads)
                 }
             };
             if let Some(nodes) = alloc {
-                for &m in nodes.ids() {
-                    busy[m] = true;
-                }
+                pool.claim(nodes.ids());
                 if records[q.ji].start_s < 0.0 {
                     records[q.ji].start_s = now;
                 }
@@ -932,11 +990,7 @@ pub fn simulate_stream<S: ServiceOracle + ?Sized>(
                 started.push(p);
             }
         }
-        started.sort_unstable();
-        for &p in started.iter().rev() {
-            queued_per_class[queue[p].class] -= 1;
-            queue.remove(p);
-        }
+        queue.remove_set(&mut started, |q| queued_per_class[q.class] -= 1);
         if !cfg.lean {
             registry.sample(qd, now, queue.len() as f64);
         }
@@ -1213,6 +1267,83 @@ mod tests {
         assert_eq!(restarts, rep.requeues);
         // Requeued jobs still finish.
         assert!(rep.jobs.iter().all(|r| r.end_s > 0.0));
+    }
+
+    /// Wraps a policy's picks in noise: out-of-range indices, every
+    /// pick repeated and reversed into descending order, then every
+    /// queue index from the back.
+    struct Sloppy<P>(P);
+
+    impl<P: SchedPolicy> SchedPolicy for Sloppy<P> {
+        fn name(&self) -> &'static str {
+            "sloppy"
+        }
+
+        fn select(&self, ctx: &PolicyCtx) -> Vec<usize> {
+            let len = ctx.queue.len();
+            let mut picks = vec![len, usize::MAX];
+            for p in self.0.select(ctx).into_iter().rev() {
+                picks.extend([p, len + p, p]);
+            }
+            picks.extend((0..len).rev());
+            picks
+        }
+    }
+
+    /// The in-range first occurrences of the wrapped policy's picks, in
+    /// its order: what the engine is documented to act on.
+    struct Deduped<P>(P);
+
+    impl<P: SchedPolicy> SchedPolicy for Deduped<P> {
+        fn name(&self) -> &'static str {
+            "deduped"
+        }
+
+        fn select(&self, ctx: &PolicyCtx) -> Vec<usize> {
+            let mut picks: Vec<usize> = Vec::new();
+            for p in self.0.select(ctx) {
+                if p < ctx.queue.len() && !picks.contains(&p) {
+                    picks.push(p);
+                }
+            }
+            picks
+        }
+    }
+
+    #[test]
+    fn duplicate_out_of_range_and_descending_picks_start_each_job_once() {
+        let cluster = Cluster::new(mb_cluster::spec::metablade())
+            .with_exec(ExecPolicy::Parallel { workers: 1 });
+        let service = ServiceModel::new(&cluster);
+        let jobs = small_workload();
+        let failing = SchedConfig {
+            failure: Some(FailureConfig::accelerated(30_000.0, 5)),
+            ..SchedConfig::default()
+        };
+        for cfg in [SchedConfig::default(), failing] {
+            let sloppy = simulate(&service, &Sloppy(Sjf), &jobs, &cfg);
+            let clean = simulate(&service, &Deduped(Sloppy(Sjf)), &jobs, &cfg);
+            assert_eq!(sloppy.fingerprint, clean.fingerprint);
+            assert_eq!(sloppy.jobs.len(), jobs.len());
+            // One attempt per start: each (job, attempt) holds exactly
+            // its width in node spans, so no pick started twice.
+            let mut spans: HashMap<(usize, u32), usize> = HashMap::new();
+            for s in &sloppy.occupancy {
+                *spans.entry((s.job, s.attempt)).or_default() += 1;
+            }
+            let attempts: u32 = sloppy.jobs.iter().map(|r| r.restarts + 1).sum();
+            assert_eq!(spans.len(), attempts as usize);
+            for r in &sloppy.jobs {
+                assert!(r.end_s > r.start_s, "job {} never ran", r.id);
+                for a in 0..=r.restarts {
+                    assert_eq!(spans.get(&(r.id, a)), Some(&r.ranks), "job {}", r.id);
+                }
+            }
+        }
+        assert!(
+            simulate(&service, &Sloppy(Sjf), &jobs, &failing).requeues > 0,
+            "the failing run must exercise requeues"
+        );
     }
 
     #[test]

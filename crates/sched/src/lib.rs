@@ -16,6 +16,9 @@
 //!   standard 200-job acceptance stream ([`standard`]);
 //! * [`policy`] — [`Fcfs`], [`EasyBackfill`] and [`Sjf`] behind the
 //!   [`SchedPolicy`] trait;
+//! * [`queue`] — the engine's [`JobQueue`] (a requeue lane, then one
+//!   FIFO lane per admission class) and the borrowed [`QueueView`]
+//!   policies read;
 //! * [`engine`] — the event loop ([`simulate`]), the memoizing
 //!   [`ServiceModel`] behind the [`ServiceOracle`] trait, and
 //!   failure/checkpoint accounting;
@@ -55,6 +58,7 @@
 pub mod engine;
 pub mod job;
 pub mod policy;
+pub mod queue;
 pub mod report;
 pub mod stream;
 pub mod workload;
@@ -65,6 +69,7 @@ pub use engine::{
 };
 pub use job::{JobRecord, JobSpec, NpbKernel, WorkModel};
 pub use policy::{EasyBackfill, Fcfs, PolicyCtx, QueuedJob, RunningJob, SchedPolicy, Sjf};
+pub use queue::{JobQueue, QueueView};
 pub use stream::{
     AdmissionControl, AdmissionCtx, AdmitAll, Arrival, ArrivalSource, ClassReport, StreamReport,
     VecArrivals,

@@ -2,11 +2,14 @@
 //!
 //! A policy is consulted by the engine at every event and answers one
 //! question: *which queued jobs start now?* It sees an immutable
-//! [`PolicyCtx`] — virtual now, free/total node counts, the FIFO queue
-//! with service estimates, and the predicted release times of running
-//! jobs — and returns queue indices in dispatch order. Policies must be
+//! [`PolicyCtx`] — virtual now, free/total node counts, a borrowed view
+//! of the queue with service estimates, and the predicted release times
+//! of running jobs — and returns queue indices in dispatch order.
+//! Policies must be
 //! pure functions of the context (the determinism contract, DESIGN.md
 //! §10): no interior state, no randomness, no wall-clock.
+
+use crate::queue::QueueView;
 
 /// A queued job as policies see it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +30,8 @@ pub struct RunningJob {
     pub ranks: usize,
 }
 
-/// What a policy sees when asked to dispatch.
+/// What a policy sees when asked to dispatch. The engine builds one per
+/// event without copying the queue: `queue` borrows the engine's lanes.
 #[derive(Debug, Clone)]
 pub struct PolicyCtx<'a> {
     /// Virtual now, seconds.
@@ -37,8 +41,9 @@ pub struct PolicyCtx<'a> {
     /// Nodes that are up (idle or busy); failed nodes are excluded until
     /// repaired.
     pub total_nodes: usize,
-    /// The queue, FIFO by (requeue priority, arrival).
-    pub queue: &'a [QueuedJob],
+    /// The queue in queue order: failure requeues newest first, then
+    /// each admission class in turn, FIFO within a class.
+    pub queue: QueueView<'a>,
     /// Currently running jobs.
     pub running: &'a [RunningJob],
 }
@@ -98,19 +103,22 @@ impl SchedPolicy for EasyBackfill {
         let mut picks = Vec::new();
         // Predicted releases: running jobs plus the FCFS starts below.
         let mut ends: Vec<(f64, usize)> = ctx.running.iter().map(|r| (r.end_s, r.ranks)).collect();
-        let mut i = 0;
-        while i < ctx.queue.len() && ctx.queue[i].ranks <= free {
-            free -= ctx.queue[i].ranks;
-            ends.push((ctx.now_s + ctx.queue[i].service_est_s, ctx.queue[i].ranks));
+        let mut jobs = ctx.queue.iter().enumerate();
+        let mut blocked = None;
+        for (i, job) in jobs.by_ref() {
+            if job.ranks > free {
+                blocked = Some(job);
+                break;
+            }
+            free -= job.ranks;
+            ends.push((ctx.now_s + job.service_est_s, job.ranks));
             picks.push(i);
-            i += 1;
         }
-        if i >= ctx.queue.len() {
+        let Some(head) = blocked else {
             return picks;
-        }
+        };
         // Reservation for the blocked head: walk releases in time order
         // until enough nodes accumulate.
-        let head = ctx.queue[i];
         ends.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut avail = free;
         let mut shadow = f64::INFINITY;
@@ -129,7 +137,7 @@ impl SchedPolicy for EasyBackfill {
             extra = free;
         }
         // Backfill behind the reservation.
-        for (j, job) in ctx.queue.iter().enumerate().skip(i + 1) {
+        for (j, job) in jobs {
             if job.ranks > free {
                 continue;
             }
@@ -159,18 +167,19 @@ impl SchedPolicy for Sjf {
     }
 
     fn select(&self, ctx: &PolicyCtx) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..ctx.queue.len()).collect();
-        order.sort_by(|&a, &b| {
-            ctx.queue[a]
-                .service_est_s
-                .total_cmp(&ctx.queue[b].service_est_s)
-                .then(a.cmp(&b))
-        });
+        // (estimate, queue index, ranks), read from the queue once.
+        let mut order: Vec<(f64, usize, usize)> = ctx
+            .queue
+            .iter()
+            .enumerate()
+            .map(|(i, job)| (job.service_est_s, i, job.ranks))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut free = ctx.free_nodes;
         let mut picks = Vec::new();
-        for i in order {
-            if ctx.queue[i].ranks <= free {
-                free -= ctx.queue[i].ranks;
+        for (_, i, ranks) in order {
+            if ranks <= free {
+                free -= ranks;
                 picks.push(i);
             }
         }
@@ -181,6 +190,7 @@ impl SchedPolicy for Sjf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn q(ranks: usize, est: f64) -> QueuedJob {
         QueuedJob {
@@ -189,14 +199,19 @@ mod tests {
         }
     }
 
+    /// One lane holding `jobs` in order.
+    fn lane(jobs: &[QueuedJob]) -> [VecDeque<QueuedJob>; 1] {
+        [jobs.iter().copied().collect()]
+    }
+
     #[test]
     fn fcfs_stops_at_first_blocker() {
-        let queue = [q(2, 10.0), q(8, 10.0), q(1, 10.0)];
+        let queue = lane(&[q(2, 10.0), q(8, 10.0), q(1, 10.0)]);
         let ctx = PolicyCtx {
             now_s: 0.0,
             free_nodes: 4,
             total_nodes: 8,
-            queue: &queue,
+            queue: QueueView::new(&queue),
             running: &[],
         };
         // The 8-wide job blocks; the 1-wide job behind it must NOT run.
@@ -209,7 +224,7 @@ mod tests {
         // release at t=100 (shadow). A 30 s 2-wide job finishes before
         // the shadow → backfilled. A 500 s 4-wide job would delay the
         // reservation and exceeds the zero leftover → held back.
-        let queue = [q(8, 50.0), q(4, 500.0), q(2, 30.0)];
+        let queue = lane(&[q(8, 50.0), q(4, 500.0), q(2, 30.0)]);
         let running = [RunningJob {
             end_s: 100.0,
             ranks: 4,
@@ -218,7 +233,7 @@ mod tests {
             now_s: 0.0,
             free_nodes: 4,
             total_nodes: 8,
-            queue: &queue,
+            queue: QueueView::new(&queue),
             running: &running,
         };
         assert_eq!(EasyBackfill.select(&ctx), vec![2]);
@@ -229,7 +244,7 @@ mod tests {
         // Shadow at t=100 frees 6 nodes for a 4-wide head → 2 extra.
         // A long 2-wide job can't finish before the shadow but fits in
         // the extra nodes, so it backfills anyway.
-        let queue = [q(4, 50.0), q(2, 900.0)];
+        let queue = lane(&[q(4, 50.0), q(2, 900.0)]);
         let running = [
             RunningJob {
                 end_s: 100.0,
@@ -244,7 +259,7 @@ mod tests {
             now_s: 0.0,
             free_nodes: 2,
             total_nodes: 10,
-            queue: &queue,
+            queue: QueueView::new(&queue),
             running: &running,
         };
         assert_eq!(EasyBackfill.select(&ctx), vec![1]);
@@ -252,12 +267,12 @@ mod tests {
 
     #[test]
     fn easy_matches_fcfs_when_nothing_blocks() {
-        let queue = [q(2, 10.0), q(3, 20.0)];
+        let queue = lane(&[q(2, 10.0), q(3, 20.0)]);
         let ctx = PolicyCtx {
             now_s: 5.0,
             free_nodes: 8,
             total_nodes: 8,
-            queue: &queue,
+            queue: QueueView::new(&queue),
             running: &[],
         };
         assert_eq!(EasyBackfill.select(&ctx), Fcfs.select(&ctx));
@@ -265,12 +280,12 @@ mod tests {
 
     #[test]
     fn sjf_orders_by_service_estimate() {
-        let queue = [q(2, 300.0), q(2, 10.0), q(2, 100.0), q(6, 1.0)];
+        let queue = lane(&[q(2, 300.0), q(2, 10.0), q(2, 100.0), q(6, 1.0)]);
         let ctx = PolicyCtx {
             now_s: 0.0,
             free_nodes: 6,
             total_nodes: 8,
-            queue: &queue,
+            queue: QueueView::new(&queue),
             running: &[],
         };
         // 6-wide 1 s job first, then the 10 s job; 100 s fits too (2+2+6

@@ -6,10 +6,10 @@
 use mb_cluster::machine::Cluster;
 use mb_cluster::spec::metablade;
 use mb_cluster::ExecPolicy;
-use mb_sched::stream::Arrival;
+use mb_sched::stream::{Arrival, ArrivalSource};
 use mb_sched::{
-    generate, simulate, simulate_stream, AdmitAll, Fcfs, JobSpec, NpbKernel, SchedConfig,
-    ServiceModel, ServiceOracle, VecArrivals, WorkModel, WorkloadConfig,
+    generate, simulate, simulate_stream, AdmitAll, FailureConfig, Fcfs, JobSpec, NpbKernel,
+    SchedConfig, ServiceModel, ServiceOracle, VecArrivals, WorkModel, WorkloadConfig,
 };
 use mb_workload::{mgk, ArrivalVec, CostModel, JobMix, OpenArrivals, SloAdmission, TrafficPattern};
 use rand::rngs::StdRng;
@@ -348,4 +348,59 @@ fn lean_mode_does_not_change_the_stream_fingerprint() {
         simulate_stream(&cost, &Fcfs, &mut src, &mut adm, &cfg).stream_fingerprint
     };
     assert_eq!(run(false), run(true));
+}
+
+/// Latency jobs (class 0 asks, and SLO admission never demotes into
+/// or out of class 0) that start before some latency job submitted
+/// earlier.
+fn latency_overtakes(arrivals: &[Arrival], jobs: &[mb_sched::JobRecord]) -> usize {
+    let start: std::collections::HashMap<usize, f64> =
+        jobs.iter().map(|r| (r.id, r.start_s)).collect();
+    let mut latest = f64::NEG_INFINITY;
+    let mut overtakes = 0;
+    for a in arrivals.iter().filter(|a| a.class == 0) {
+        let Some(&s) = start.get(&a.spec.id) else {
+            continue; // shed
+        };
+        if s < latest {
+            overtakes += 1;
+        }
+        latest = latest.max(s);
+    }
+    overtakes
+}
+
+#[test]
+fn latency_class_stays_fifo_while_failure_requeues_wait_at_the_head() {
+    // A failure victim of a lower class requeues at the head of the
+    // queue; latency arrivals must still line up behind the latency
+    // jobs already waiting, so FCFS starts them in submit order.
+    let mut cost = CostModel::new(metablade());
+    cost.calibrate_default(&JobMix::standard(24).patterns());
+    for seed in 1..=6 {
+        let mut open = OpenArrivals::new(
+            TrafficPattern::Poisson { rate_per_s: 0.02 },
+            JobMix::standard(24),
+            4_000,
+            seed,
+        );
+        // Open arrivals come out in submit order.
+        let mut arrivals = Vec::new();
+        while let Some(a) = open.next_arrival() {
+            arrivals.push(a);
+        }
+        let mut src = ArrivalVec::new(arrivals.clone());
+        let mut adm = SloAdmission::standard(24);
+        let cfg = SchedConfig {
+            failure: Some(FailureConfig::accelerated(20_000.0, seed)),
+            ..SchedConfig::default()
+        };
+        let rep = simulate_stream(&cost, &Fcfs, &mut src, &mut adm, &cfg);
+        assert!(rep.sim.requeues > 0, "seed {seed}: no failure requeues");
+        let overtakes = latency_overtakes(&arrivals, &rep.sim.jobs);
+        assert_eq!(
+            overtakes, 0,
+            "seed {seed}: {overtakes} latency jobs started ahead of earlier latency jobs"
+        );
+    }
 }
